@@ -1,28 +1,45 @@
-//! The batch workloads: a campaign matrix run through the library's
+//! The batch workloads: a campaign run through the library's
 //! `run_campaign`, as `afex-cli campaign` runs it.
 //!
-//! - `chained-matrix`: the checkpoint-heavy chained matrix.
 //! - `minidb-hunt`: the §6.2 "find N crashes" search on `minidb`.
 //! - `proc-campaign`: real victim binaries under the preload shim.
 //!
-//! An untraced run makes one unmeasured reference campaign, checks its
-//! outputs, then repeats the campaign (fresh output directory each time,
-//! same bytes required) with an open-loop generator beside it until the
-//! window is spent, and reports medians. A traced run makes one untraced
-//! and one traced campaign and compares their files.
+//! An untraced run alternates two phases [`RUNS`] times, never running
+//! them at once, so that neither disturbs the other's timings, and so
+//! that a slow spell of the machine lands on one campaign run or one
+//! part of the open loop rather than on all of them:
+//!
+//! 1. The campaign, into a fresh directory. The first run is the
+//!    reference: its outputs are checked and every later run must
+//!    reproduce its bytes. Each run is followed by [`RESUMES`] no-op
+//!    `afex-cli campaign --resume` runs.
+//! 2. For a [`RUNS`]th of the window, an open loop at the rates of the service workload,
+//!    with the commands a user runs beside a batch campaign: every
+//!    [`WRITE_EVERY`] an `afex-cli campaign` of a small campaign of the
+//!    workload's targets is started (`submit`: until it has opened its
+//!    output and export) and run to its summary (`done`), and every
+//!    [`READ_EVERY`] the reference run's export is ranked the way
+//!    `afex-cli top-failures --export F` ranks it (`read`). Each is timed
+//!    from when it was due. `setup_s` is the median time from spawning a
+//!    small campaign to its accepting the work.
+//!
+//! A traced run makes one untraced and one traced campaign and compares
+//! their files.
 
+use crate::catalog::catalogue;
 use crate::stats::{median, quotable, Metrics};
-use crate::traced::{run_campaign_traced, Tracer};
-use crate::{dir_size, ms, put, same_bytes, strings, Ctx, Ledger, Report};
+use crate::traced::{layer_value, run_campaign_traced, tracer_layers, Tracer};
+use crate::{
+    bin_dir, dir_size, generator_report, ms, put, same_bytes, sleep_until, strings, Ctx, Ledger, Report, Sample,
+};
 use afex::campaign::{
-    build_spec, load_resume_snapshot, read_export, run_campaign, sweep_stale_tmp, CorpusExporter,
-    CorpusReader, SpecOptions,
+    build_spec, load_resume_snapshot, read_export, run_campaign, top_failures, CorpusReader,
+    SpecOptions,
 };
 use afex::core::campaign::{CampaignReport, CampaignSnapshot, ExportRecord};
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::path::Path;
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 /// The files a campaign directory holds, all byte-compared.
@@ -33,46 +50,40 @@ const FILES: [&str; 4] = [
     "summary.json",
 ];
 
-/// How often the open-loop generator submits a campaign. Submissions and
-/// reads share the generator's one thread: a denser submit stream gives
-/// its p95 more samples but delays the reads queued behind it.
-const SUBMIT_EVERY: Duration = Duration::from_millis(20);
+/// The scheduler pool width (`--workers`) of every batch campaign.
+const WORKERS: usize = 1;
 
-/// How often the open-loop generator reads an export.
-const READ_EVERY: Duration = Duration::from_millis(50);
-
-/// How often the done-poller `stat`s the campaign directory.
-const POLL_EVERY: Duration = Duration::from_millis(5);
+/// Campaign runs timed per benchmark run (`wall_s`): the median of three
+/// is the middle run, so one slow or fast run does not decide it.
+const RUNS: usize = 3;
 
 /// No-op resumes timed after each campaign run (`resume_s`).
-const RESUMES: usize = 5;
+const RESUMES: usize = 10;
 
-/// Samples each latency needs: ten beyond the 95th percentile.
-const MIN_SAMPLES: usize = 200;
+/// How often the open loop submits a small campaign: the service
+/// workload's submission rate.
+const WRITE_EVERY: Duration = Duration::from_millis(100);
 
-/// A run stops starting campaigns after this many windows even if a
-/// latency still lacks samples (it then fails its check).
-const MAX_WINDOWS: u32 = 4;
+/// How often the open loop ranks the export: the service workload's read
+/// rate. Reads are due half a period after submissions.
+const READ_EVERY: Duration = Duration::from_millis(100);
 
-/// Cold submissions timed before the campaigns (`setup_s`).
-const SETUP_SAMPLES: usize = 25;
+/// How often a starting campaign is checked for having accepted its
+/// work. Sleeping leaves both processors to the campaign starting up.
+const POLL_EVERY: Duration = Duration::from_micros(20);
 
-/// What a `done` sample follows: a failure record landing in the export
-/// (the workloads that find thousands of them) or a cell's checkpoint
-/// landing (the workload that finds a handful of distinct failures).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DoneUnit {
-    Records,
-    Cells,
-}
+/// Records a `top-failures` read returns, `afex-cli`'s default.
+const TOP: usize = 10;
 
 /// One batch workload.
 pub struct Workload {
     pub name: &'static str,
     opts: SpecOptions,
-    /// The scheduler pool width (`--workers`).
-    workers: usize,
-    done: DoneUnit,
+    /// Iterations of an open-loop small campaign, sized so that it ends
+    /// well before the read due half a period after it: a read that
+    /// overlaps a small `proc:*` campaign shares the two processors with
+    /// its victims and its tail then depends on where it lands.
+    small_iterations: usize,
     /// Whether hung tests are a failed check.
     no_hangs: bool,
 }
@@ -87,27 +98,10 @@ impl Workload {
     pub fn named(name: &str) -> Self {
         let base = SpecOptions {
             strategies: strings(&["fitness", "random"]),
-            cell_workers: 1,
+            cell_workers: 2,
             ..SpecOptions::default()
         };
         match name {
-            "chained-matrix" => Workload {
-                name: "chained-matrix",
-                opts: SpecOptions {
-                    targets: strings(&[
-                        "vfs:minidb-recovery",
-                        "vfs:docstore-recovery",
-                        "docstore-0.8",
-                        "httpd",
-                    ]),
-                    seeds: 16,
-                    iterations: 2000,
-                    ..base
-                },
-                workers: 1,
-                done: DoneUnit::Records,
-                no_hangs: false,
-            },
             "minidb-hunt" => Workload {
                 name: "minidb-hunt",
                 opts: SpecOptions {
@@ -115,11 +109,9 @@ impl Workload {
                     seeds: 8,
                     iterations: 40_000,
                     stop: Some("crashes:100".into()),
-                    cell_workers: 2,
                     ..base
                 },
-                workers: 1,
-                done: DoneUnit::Records,
+                small_iterations: 500,
                 no_hangs: false,
             },
             "proc-campaign" => Workload {
@@ -132,12 +124,10 @@ impl Workload {
                     ]),
                     seeds: 16,
                     iterations: 200,
-                    cell_workers: 2,
                     timeout: Some("2s".into()),
                     ..base
                 },
-                workers: 1,
-                done: DoneUnit::Cells,
+                small_iterations: 10,
                 no_hangs: true,
             },
             other => panic!("`{other}` is not a batch workload"),
@@ -150,89 +140,251 @@ impl Workload {
             ..self.opts.clone()
         }
     }
-}
 
-/// One library submission, as `afex-cli campaign` makes it before the
-/// first cell: spec built and validated (including the `proc:*` artifact
-/// check), output directory created and swept, export opened.
-fn submit_once(opts: &SpecOptions, dir: &Path) -> Result<(), String> {
-    let spec = build_spec(opts).map_err(|e| e.to_string())?;
-    std::hint::black_box(CampaignSnapshot::new(spec));
-    std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-    sweep_stale_tmp(dir).map_err(|e| e.to_string())?;
-    CorpusExporter::create(&dir.join("corpus.jsonl")).map_err(|e| e.to_string())?;
-    Ok(())
-}
-
-/// Times `n` submissions into fresh directories, in ms.
-fn time_submissions(opts: &SpecOptions, base: &Path, n: usize, ledger: &mut Ledger) -> Vec<f64> {
-    let mut samples = Vec::with_capacity(n);
-    for i in 0..n {
-        let dir = base.join(format!("submit-{i}"));
-        let t0 = Instant::now();
-        let result = submit_once(opts, &dir);
-        samples.push(ms(t0.elapsed()));
-        ledger.op("submission", result);
-        let _ = std::fs::remove_dir_all(&dir);
+    /// The `i`th small campaign of the open loop: one of the workload's
+    /// targets in turn × `fitness` × 1 seed, on the workload's cell
+    /// workers.
+    fn small_opts(&self, seed: u64, i: u64) -> SpecOptions {
+        let targets = &self.opts.targets;
+        let base_seed = seed.wrapping_add(i);
+        SpecOptions {
+            targets: vec![targets[(base_seed % targets.len() as u64) as usize].clone()],
+            strategies: strings(&["fitness"]),
+            seeds: 1,
+            base_seed,
+            iterations: self.small_iterations,
+            stop: None,
+            ..self.opts.clone()
+        }
     }
-    samples
 }
 
-/// Watches a campaign directory while `run_campaign` runs and records,
-/// relative to the run's start, when each checkpoint landed (the
-/// snapshot's inode changes on every atomic rename) or when each export
-/// record landed (the sidecar index grows 17 bytes per record). One
-/// `stat` every [`POLL_EVERY`]; the campaign is never touched.
-struct Poller {
-    stop: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<Vec<f64>>,
+/// A running `afex-cli campaign`, killed and reaped if dropped before it
+/// exits.
+struct Campaign {
+    child: Option<Child>,
 }
 
-impl Poller {
-    fn spawn(dir: &Path, unit: DoneUnit, t0: Instant) -> Self {
-        use std::os::unix::fs::MetadataExt;
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let path = match unit {
-            DoneUnit::Cells => dir.join("campaign.json"),
-            DoneUnit::Records => dir.join("corpus.jsonl.idx"),
-        };
-        let handle = std::thread::spawn(move || {
-            let mut events = Vec::new();
-            let mut last_ino = None;
-            let mut last_records = 0u64;
-            loop {
-                let done = flag.load(Ordering::SeqCst);
-                if let Ok(meta) = std::fs::metadata(&path) {
-                    let at = ms(t0.elapsed());
-                    match unit {
-                        DoneUnit::Cells if last_ino != Some(meta.ino()) => {
-                            last_ino = Some(meta.ino());
-                            events.push(at);
-                        }
-                        DoneUnit::Records => {
-                            let records = meta.len() / 17;
-                            for _ in last_records..records {
-                                events.push(at);
-                            }
-                            last_records = last_records.max(records);
-                        }
-                        DoneUnit::Cells => {}
-                    }
-                }
-                if done {
-                    return events;
-                }
-                std::thread::sleep(POLL_EVERY);
+impl Campaign {
+    /// Starts `afex-cli campaign` with `opts` as flags, one scheduler
+    /// worker and its output and export in `dir`, and waits until it has
+    /// accepted the work: spec validated, output directory created and
+    /// export opened (the export's sidecar index is the last file
+    /// `run_campaign` opens before the first cell). Returns the campaign
+    /// and the instant it was seen accepting.
+    fn start(opts: &SpecOptions, dir: &Path) -> Result<(Campaign, Instant), String> {
+        let cli = bin_dir().join("afex-cli");
+        let export = dir.join("corpus.jsonl");
+        let mut cmd = Command::new(&cli);
+        cmd.arg("campaign")
+            .args(["--targets", &opts.targets.join(",")])
+            .args(["--strategies", &opts.strategies.join(",")])
+            .args(["--seeds", &opts.seeds.to_string()])
+            .args(["--seed", &opts.base_seed.to_string()])
+            .args(["--iterations", &opts.iterations.to_string()])
+            .args(["--cell-workers", &opts.cell_workers.to_string()])
+            .args(["--workers", &WORKERS.to_string()])
+            .arg("--out")
+            .arg(dir)
+            .arg("--export")
+            .arg(&export)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::inherit());
+        if let Some(stop) = &opts.stop {
+            cmd.args(["--stop", stop]);
+        }
+        if let Some(timeout) = &opts.timeout {
+            cmd.args(["--timeout", timeout]);
+        }
+        let child = cmd
+            .spawn()
+            .map_err(|e| format!("cannot spawn {}: {e}", cli.display()))?;
+        let mut campaign = Campaign { child: Some(child) };
+        let idx = export_idx(&export);
+        loop {
+            if idx.exists() {
+                return Ok((campaign, Instant::now()));
             }
-        });
-        Poller { stop, handle }
+            let child = campaign.child.as_mut().expect("running");
+            if let Some(status) = child.try_wait().map_err(|e| e.to_string())? {
+                campaign.child = None;
+                return if status.success() && idx.exists() {
+                    Ok((campaign, Instant::now()))
+                } else {
+                    Err(format!(
+                        "afex-cli campaign exited with {status} before accepting work"
+                    ))
+                };
+            }
+            std::thread::sleep(POLL_EVERY);
+        }
     }
 
-    fn finish(self) -> Vec<f64> {
-        self.stop.store(true, Ordering::SeqCst);
-        self.handle.join().expect("poller thread panicked")
+    /// Waits for the campaign to exit 0 with its summary written.
+    fn finish(mut self, dir: &Path) -> Result<(), String> {
+        if let Some(mut child) = self.child.take() {
+            let status = child.wait().map_err(|e| e.to_string())?;
+            if !status.success() {
+                return Err(format!("afex-cli campaign exited with {status}"));
+            }
+        }
+        if dir.join("summary.json").is_file() {
+            Ok(())
+        } else {
+            Err(format!("no summary.json in {}", dir.display()))
+        }
     }
+}
+
+impl Drop for Campaign {
+    fn drop(&mut self) {
+        if let Some(mut child) = self.child.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// The export's sidecar offset index.
+fn export_idx(export: &Path) -> std::path::PathBuf {
+    let mut name = export.as_os_str().to_owned();
+    name.push(".idx");
+    name.into()
+}
+
+/// The `limit` highest-impact records of an export, read the way
+/// `afex-cli top-failures --export F` reads them: every record through
+/// the seekable `CorpusReader`, ranked by impact.
+fn top_failures_offline(export: &Path, limit: usize) -> std::io::Result<Vec<ExportRecord>> {
+    let mut reader = CorpusReader::open(export)?;
+    let mut records = (0..reader.len())
+        .map(|i| reader.get(i))
+        .collect::<std::io::Result<Vec<_>>>()?;
+    records.sort_by(|a, b| b.record.impact.total_cmp(&a.record.impact));
+    records.truncate(limit);
+    Ok(records)
+}
+
+/// What the open loop measured.
+#[derive(Debug, Default)]
+struct OpenLoop {
+    /// Per small campaign: when it accepted the work (`replied`), and
+    /// when it exited with its summary written, in ms.
+    submits: Vec<(Sample, f64)>,
+    reads: Vec<Sample>,
+    /// Every request's lateness, in ms.
+    lateness: Vec<f64>,
+    /// Requests due in the window but sent after it.
+    backlog: usize,
+}
+
+impl OpenLoop {
+    fn extend(&mut self, other: OpenLoop) {
+        self.submits.extend(other.submits);
+        self.reads.extend(other.reads);
+        self.lateness.extend(other.lateness);
+        self.backlog += other.backlog;
+    }
+}
+
+/// Runs the open loop for `window`: one thread submits and runs small
+/// campaigns, numbered from `first`, the other ranks `export`. Every
+/// small campaign is checked complete and every ranking is checked
+/// against the snapshot's own.
+#[allow(clippy::too_many_arguments)]
+fn open_loop(
+    w: &Workload,
+    seed: u64,
+    first: u32,
+    reference: &CampaignSnapshot,
+    export: &Path,
+    work: &Path,
+    window: Duration,
+    ledger: &mut Ledger,
+) -> OpenLoop {
+    let expected: Vec<f64> = top_failures(reference, TOP)
+        .iter()
+        .map(|r| r.record.impact)
+        .collect();
+    let t0 = Instant::now();
+    let since = |t: Instant| ms(t.duration_since(t0));
+    let (writes, reads) = std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            let mut out = Vec::new();
+            for i in 0u32.. {
+                let due = WRITE_EVERY * i;
+                if due >= window {
+                    break;
+                }
+                sleep_until(t0, due);
+                let sent = Instant::now();
+                let n = first + i;
+                let dir = work.join(format!("small-{n}"));
+                let (ran, accepted) = match Campaign::start(&w.small_opts(seed, u64::from(n)), &dir)
+                {
+                    Ok((campaign, accepted)) => (campaign.finish(&dir), accepted),
+                    Err(e) => (Err(e), Instant::now()),
+                };
+                let done = Instant::now();
+                let _ = std::fs::remove_dir_all(&dir);
+                let sample = Sample {
+                    due: ms(due),
+                    sent: since(sent),
+                    replied: since(accepted),
+                };
+                out.push((sample, since(done), ran));
+            }
+            out
+        });
+        let reader = scope.spawn(|| {
+            let mut out = Vec::new();
+            for j in 0u32.. {
+                let due = READ_EVERY * j + READ_EVERY / 2;
+                if due >= window {
+                    break;
+                }
+                sleep_until(t0, due);
+                let sent = Instant::now();
+                let read = top_failures_offline(export, TOP);
+                let replied = Instant::now();
+                let sample = Sample {
+                    due: ms(due),
+                    sent: since(sent),
+                    replied: since(replied),
+                };
+                out.push((sample, read));
+            }
+            out
+        });
+        (
+            writer.join().expect("open-loop writer panicked"),
+            reader.join().expect("open-loop reader panicked"),
+        )
+    });
+    let mut out = OpenLoop::default();
+    for (sample, done, ran) in writes {
+        ledger.op("small campaign", ran);
+        out.submits.push((sample, done));
+    }
+    for (sample, read) in reads {
+        if let Some(records) = ledger.op("top-failures read", read) {
+            let impacts: Vec<f64> = records.iter().map(|r| r.record.impact).collect();
+            ledger.check(
+                "top-failures off the export ranks as the snapshot does",
+                impacts == expected,
+            );
+        }
+        out.reads.push(sample);
+    }
+    let generated: Vec<Sample> = out
+        .submits
+        .iter()
+        .map(|(s, _)| *s)
+        .chain(out.reads.iter().copied())
+        .collect();
+    (out.lateness, out.backlog) = generator_report(&generated, ms(window));
+    out
 }
 
 /// The output checks every finished campaign directory must pass.
@@ -324,7 +476,6 @@ fn fitness_matching_random(snap: &CampaignSnapshot) -> usize {
 /// Runs the campaign once into `dir` through `run_campaign`, returning
 /// the finished snapshot and the wall time.
 fn plain_run(
-    w: &Workload,
     opts: &SpecOptions,
     dir: &Path,
     ledger: &mut Ledger,
@@ -333,7 +484,7 @@ fn plain_run(
     let t0 = Instant::now();
     let result = run_campaign(
         &mut snap,
-        w.workers,
+        WORKERS,
         dir,
         Some(&dir.join("corpus.jsonl")),
         false,
@@ -345,128 +496,51 @@ fn plain_run(
         .ok_or_else(|| format!("run_campaign failed in {}", dir.display()))
 }
 
-/// A no-op resume of a finished campaign directory, as
-/// `afex-cli campaign --resume --export` makes it: load and validate the
-/// snapshot, run the (empty) pending set, rewrite the final checkpoint
-/// and summary. Checks that no byte changed.
-fn noop_resume(w: &Workload, dir: &Path, ledger: &mut Ledger) -> Duration {
-    let before: Vec<Option<Vec<u8>>> = FILES
-        .iter()
-        .map(|f| std::fs::read(dir.join(f)).ok())
-        .collect();
+/// A no-op resume of a finished campaign directory, as a user makes it:
+/// `afex-cli campaign --resume --export`, which loads and validates the
+/// snapshot, runs the (empty) pending set and rewrites the final
+/// checkpoint and summary. Timed from spawn to exit; checks that it
+/// exits 0 and that no byte changed. A fresh process per resume keeps
+/// the heap this process built up over its campaign runs out of the
+/// timing.
+fn noop_resume(dir: &Path, ledger: &mut Ledger) -> Duration {
+    let read_all = || -> Vec<Option<Vec<u8>>> {
+        FILES
+            .iter()
+            .map(|f| std::fs::read(dir.join(f)).ok())
+            .collect()
+    };
+    let before = read_all();
     let t0 = Instant::now();
-    let resumed = ledger.op(
-        "load_resume_snapshot",
-        load_resume_snapshot(&dir.join("campaign.json")),
-    );
-    if let Some(mut snap) = resumed {
-        ledger.op(
-            "resume run_campaign",
-            run_campaign(
-                &mut snap,
-                w.workers,
-                dir,
-                Some(&dir.join("corpus.jsonl")),
-                true,
-            ),
-        );
-    }
+    let status = Command::new(bin_dir().join("afex-cli"))
+        .args([
+            "campaign",
+            "--workers",
+            &WORKERS.to_string(),
+            "--resume",
+            "--out",
+        ])
+        .arg(dir)
+        .arg("--export")
+        .arg(dir.join("corpus.jsonl"))
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::inherit())
+        .status();
     let took = t0.elapsed();
-    let after: Vec<Option<Vec<u8>>> = FILES
-        .iter()
-        .map(|f| std::fs::read(dir.join(f)).ok())
-        .collect();
+    ledger.op(
+        "afex-cli campaign --resume",
+        match status {
+            Ok(s) if s.success() => Ok(()),
+            Ok(s) => Err(format!("exited with {s}")),
+            Err(e) => Err(e.to_string()),
+        },
+    );
     ledger.check(
         "a no-op resume leaves every byte unchanged",
-        before == after,
+        before == read_all(),
     );
     took
-}
-
-/// What the open-loop generator measured across the campaign runs.
-#[derive(Debug, Default)]
-struct Generated {
-    submits: Vec<f64>,
-    reads: Vec<f64>,
-    failed: Vec<String>,
-}
-
-/// Open-loop load beside a running campaign, as a user working next to
-/// it would add. Every [`SUBMIT_EVERY`] a new campaign is submitted to
-/// the library (spec built and validated, its initial snapshot
-/// serialized), and every [`READ_EVERY`], offset by half a period, the
-/// reference run's finished export is ranked the way
-/// `afex-cli top-failures --export F` ranks it ([`top_failures`]). Each
-/// is timed from when it was due. Spreading the samples over the whole
-/// run, rather than timing a burst, keeps a momentary stall from
-/// deciding the result.
-struct Generator {
-    stop: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<Generated>,
-}
-
-impl Generator {
-    fn spawn(opts: &SpecOptions, export: PathBuf, t0: Instant) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let opts = opts.clone();
-        let handle = std::thread::spawn(move || {
-            let mut out = Generated::default();
-            let (mut submits, mut reads) = (0u32, 0u32);
-            loop {
-                let next_submit = SUBMIT_EVERY * submits;
-                let next_read = READ_EVERY * reads + READ_EVERY / 2;
-                let due = next_submit.min(next_read);
-                if let Some(wait) = due.checked_sub(t0.elapsed()) {
-                    std::thread::sleep(wait);
-                }
-                if flag.load(Ordering::SeqCst) {
-                    return out;
-                }
-                if next_submit <= next_read {
-                    let submitted = build_spec(&opts)
-                        .map(|spec| std::hint::black_box(CampaignSnapshot::new(spec).to_json()));
-                    out.submits.push(ms(t0.elapsed().saturating_sub(due)));
-                    if let Err(e) = submitted {
-                        out.failed.push(format!("submission: {e}"));
-                    }
-                    submits += 1;
-                } else {
-                    let read = top_failures(&export, 10);
-                    out.reads.push(ms(t0.elapsed().saturating_sub(due)));
-                    if let Err(e) = read {
-                        out.failed.push(format!("top failures: {e}"));
-                    }
-                    reads += 1;
-                }
-            }
-        });
-        Generator { stop, handle }
-    }
-
-    fn finish(self) -> Generated {
-        self.stop.store(true, Ordering::SeqCst);
-        self.handle.join().expect("generator thread panicked")
-    }
-}
-
-/// The `limit` highest-impact records of an export, ranked the way
-/// `afex-cli top-failures --export F` ranks them. The file is read in
-/// one go and its complete lines parsed, like `read_export`, rather than
-/// record by record through `CorpusReader`: that reader panics with a
-/// capacity overflow when the export grows between its size check and
-/// its offset scan.
-fn top_failures(export: &Path, limit: usize) -> Result<Vec<ExportRecord>, String> {
-    let text = std::fs::read_to_string(export).map_err(|e| e.to_string())?;
-    let complete = text.rfind('\n').map_or(0, |i| i + 1);
-    let mut records = text[..complete]
-        .lines()
-        .map(ExportRecord::from_jsonl)
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| e.to_string())?;
-    records.sort_by(|a, b| b.record.impact.total_cmp(&a.record.impact));
-    records.truncate(limit);
-    Ok(records)
 }
 
 /// Reads every exported record through the seekable reader and checks
@@ -520,94 +594,76 @@ pub fn run(ctx: &Ctx, w: Workload) -> Result<Report, String> {
     let mut ledger = Ledger::default();
     let mut m = Metrics::new();
 
-    let mut setup = time_submissions(&opts, &ctx.work, SETUP_SAMPLES, &mut ledger);
-    if ledger.failed > 0 {
-        return Err(ledger.problems.join("; "));
-    }
-
-    // The reference run, before the window: its outputs are checked, the
-    // measured runs must reproduce its bytes, and the generator reads
-    // its export.
-    let dir = ctx.work.join("reference");
-    let (snap, _) = plain_run(&w, &opts, &dir, &mut ledger)?;
-    check_outputs(&w, &dir, &snap, &mut ledger);
-    check_reads(&dir.join("corpus.jsonl"), &snap, &mut ledger);
-    // A second batch of set-ups at another moment, so that one slow
-    // moment of the machine does not decide `setup_s`.
-    setup.extend(time_submissions(
-        &opts,
-        &ctx.work,
-        SETUP_SAMPLES,
-        &mut ledger,
-    ));
-
-    let measure = Instant::now();
+    let reference = ctx.work.join("reference");
+    let segment = ctx.window / RUNS as u32;
     let mut walls = Vec::new();
     let mut resumes = Vec::new();
-    let mut done = Vec::new();
-    let mut generated = Generated::default();
-    loop {
-        let rep = ctx.work.join("rep");
-        let t0 = Instant::now();
-        let poller = Poller::spawn(&rep, w.done, t0);
-        let generator = Generator::spawn(&opts, dir.join("corpus.jsonl"), t0);
-        let run = plain_run(&w, &opts, &rep, &mut ledger);
-        let gen = generator.finish();
-        let mut events = poller.finish();
-        generated.submits.extend(gen.submits);
-        generated.reads.extend(gen.reads);
-        generated.failed.extend(gen.failed);
-        let (rep_snap, wall) = run?;
-        if w.done == DoneUnit::Cells {
-            // The final checkpoint after the last cell is not a cell.
-            events.truncate(rep_snap.cells.len());
-        }
-        done.extend(events);
+    let mut snap = None;
+    let mut ol = OpenLoop::default();
+    for i in 0..RUNS {
+        // 1. A campaign run, the first one the reference.
+        let dir = if i == 0 {
+            reference.clone()
+        } else {
+            ctx.work.join(format!("run-{i}"))
+        };
+        let (run_snap, wall) = plain_run(&opts, &dir, &mut ledger)?;
         walls.push(wall.as_secs_f64());
-        let same = FILES.iter().all(|f| same_bytes(&dir.join(f), &rep.join(f)));
-        ledger.check("a repeated run writes the same bytes", same);
+        if i == 0 {
+            check_outputs(&w, &dir, &run_snap, &mut ledger);
+            check_reads(&dir.join("corpus.jsonl"), &run_snap, &mut ledger);
+            snap = Some(run_snap);
+        } else {
+            let same = FILES
+                .iter()
+                .all(|f| same_bytes(&reference.join(f), &dir.join(f)));
+            ledger.check("a repeated run writes the same bytes", same);
+        }
         for _ in 0..RESUMES {
-            resumes.push(noop_resume(&w, &rep, &mut ledger).as_secs_f64());
+            resumes.push(noop_resume(&dir, &mut ledger).as_secs_f64());
         }
-        let _ = std::fs::remove_dir_all(&rep);
-        let short = [done.len(), generated.submits.len(), generated.reads.len()]
-            .iter()
-            .any(|&n| n < MIN_SAMPLES);
-        let fits = measure.elapsed() + wall <= ctx.window;
-        if !(fits || short && measure.elapsed() + wall <= ctx.window * MAX_WINDOWS) {
-            break;
+        if i > 0 {
+            let _ = std::fs::remove_dir_all(&dir);
         }
+        // 2. A part of the open loop.
+        let part = open_loop(
+            &w,
+            ctx.seed,
+            ol.submits.len() as u32,
+            snap.as_ref().expect("the reference run ran"),
+            &reference.join("corpus.jsonl"),
+            &ctx.work,
+            segment,
+            &mut ledger,
+        );
+        ol.extend(part);
     }
-    ledger.ok((generated.submits.len() + generated.reads.len() - generated.failed.len()) as u64);
-    for problem in generated.failed {
-        ledger.op("open-loop request", Err::<(), _>(problem));
-    }
+    let snap = snap.expect("the reference run ran");
     fitness_matching_random(&snap);
 
+    let setup: Vec<f64> = ol.submits.iter().map(|(s, _)| s.replied - s.sent).collect();
     put(&mut m, "setup_s", median(&setup).unwrap_or(0.0) / 1e3);
     put(&mut m, "wall_s", median(&walls).unwrap_or(0.0));
     put(&mut m, "resume_s", median(&resumes).unwrap_or(0.0));
-    put(&mut m, "disk_bytes", dir_size(&dir) as f64);
+    put(&mut m, "disk_bytes", dir_size(&reference) as f64);
     put_quality(&mut m, &snap, &mut ledger);
-    put_latency(&mut m, "done", &done, &mut ledger);
-    put_latency(&mut m, "submit", &generated.submits, &mut ledger);
-    put_latency(&mut m, "read", &generated.reads, &mut ledger);
+    let dones: Vec<f64> = ol.submits.iter().map(|(s, done)| done - s.due).collect();
+    put_latency(&mut m, "done", &dones, &mut ledger);
+    let submits: Vec<f64> = ol.submits.iter().map(|(s, _)| s.replied - s.due).collect();
+    put_latency(&mut m, "submit", &submits, &mut ledger);
+    let reads: Vec<f64> = ol.reads.iter().map(|s| s.replied - s.due).collect();
+    put_latency(&mut m, "read", &reads, &mut ledger);
     println!(
-        "{}: {} campaign runs, {} done samples ({:?}), {} submissions, {} reads, wall {:?} s",
+        "{}: campaign wall {walls:?} s; {} resumes; {} small campaigns, {} reads, generator lateness p50 {:.3} ms max {:.3} ms, backlog {} at the window's ends",
         w.name,
-        walls.len(),
-        done.len(),
-        w.done,
-        generated.submits.len(),
-        generated.reads.len(),
-        walls
+        resumes.len(),
+        ol.submits.len(),
+        ol.reads.len(),
+        median(&ol.lateness).unwrap_or(0.0),
+        ol.lateness.iter().copied().fold(0.0, f64::max),
+        ol.backlog,
     );
     Ok(Report { metrics: m, ledger })
-}
-
-/// Milliseconds in a nanosecond counter.
-fn ns_ms(counter: &std::sync::atomic::AtomicU64) -> f64 {
-    Tracer::get(counter) as f64 / 1e6
 }
 
 /// The traced run: one untraced and one traced campaign of the same
@@ -618,13 +674,13 @@ pub fn run_traced(ctx: &Ctx, w: Workload) -> Result<Report, String> {
     let mut m = Metrics::new();
 
     let plain_dir = ctx.work.join("plain");
-    let (_, plain_wall) = plain_run(&w, &opts, &plain_dir, &mut ledger)?;
+    let (_, plain_wall) = plain_run(&opts, &plain_dir, &mut ledger)?;
 
     let traced_dir = ctx.work.join("traced");
     let tracer = Tracer::default();
     let mut snap = CampaignSnapshot::new(build_spec(&opts).map_err(|e| e.to_string())?);
     let t0 = Instant::now();
-    let traced = run_campaign_traced(&mut snap, w.workers, &traced_dir, &tracer);
+    let traced = run_campaign_traced(&mut snap, WORKERS, &traced_dir, &tracer);
     let traced_wall = t0.elapsed();
     ledger.op("traced run_campaign", traced);
     for f in FILES {
@@ -641,101 +697,22 @@ pub fn run_traced(ctx: &Ctx, w: Workload) -> Result<Report, String> {
     );
     let resume_load = t0.elapsed();
 
-    let t = &tracer;
-    put(&mut m, "campaign.cell_ms", ns_ms(&t.cell_ns));
-    put(&mut m, "campaign.record_ms", ns_ms(&t.record_ns));
-    put(&mut m, "campaign.checkpoint_ms", ns_ms(&t.checkpoint_ns));
-    put(
-        &mut m,
-        "campaign.checkpoint_bytes",
-        Tracer::get(&t.checkpoint_bytes) as f64,
-    );
-    put(
-        &mut m,
-        "campaign.checkpoints",
-        Tracer::get(&t.checkpoints) as f64,
-    );
-    put(&mut m, "campaign.export_sync_ms", ns_ms(&t.export_sync_ns));
-    put(&mut m, "campaign.resume_load_ms", ms(resume_load));
-    put(&mut m, "core.generate_ms", ns_ms(&t.generate_ns));
-    put(&mut m, "core.complete_ms", ns_ms(&t.complete_ns));
-    put(
-        &mut m,
-        "core.complete_fitness_ms",
-        ns_ms(&t.complete_fitness_ns),
-    );
-    put(&mut m, "core.candidates", Tracer::get(&t.candidates) as f64);
-    put(
-        &mut m,
-        "core.seed_traces",
-        Tracer::get(&t.seed_traces) as f64,
-    );
-    put(
-        &mut m,
-        "core.fitness_cells_matching_random",
-        fitness_matching_random(&snap) as f64,
-    );
-    let per_test = |ns: &std::sync::atomic::AtomicU64, n: &std::sync::atomic::AtomicU64| {
-        Tracer::get(ns) as f64 / 1e3 / Tracer::get(n).max(1) as f64
-    };
-    put(&mut m, "targets.vfs_exec_ms", ns_ms(&t.vfs_exec_ns));
-    put(
-        &mut m,
-        "targets.vfs_us_per_test",
-        per_test(&t.vfs_exec_ns, &t.vfs_tests),
-    );
-    put(&mut m, "targets.sim_exec_ms", ns_ms(&t.sim_exec_ns));
-    put(
-        &mut m,
-        "targets.sim_us_per_test",
-        per_test(&t.sim_exec_ns, &t.sim_tests),
-    );
-    put(&mut m, "targets.tests", Tracer::get(&t.tests) as f64);
-    put(&mut m, "targets.failures", Tracer::get(&t.failures) as f64);
-    put(&mut m, "targets.crashes", Tracer::get(&t.crashes) as f64);
-    let proc_ms = t.proc_test_ms.lock().expect("sample list poisoned").clone();
-    put(
-        &mut m,
-        "process.test_ms_p50",
-        median(&proc_ms).unwrap_or(0.0),
-    );
-    put(
-        &mut m,
-        "process.test_ms_p95",
-        quotable(&proc_ms, 95.0).unwrap_or(0.0),
-    );
-    put(&mut m, "process.tests", proc_ms.len() as f64);
-    put(&mut m, "process.hung", Tracer::get(&t.proc_hung) as f64);
-    let pool_tests = Tracer::get(&t.pool_tests);
-    let overhead_us = if pool_tests == 0 {
-        0.0
-    } else {
-        (Tracer::get(&t.pool_latency_ns) as f64 - Tracer::get(&t.pool_exec_ns) as f64)
-            / 1e3
-            / pool_tests as f64
-    };
-    put(&mut m, "cluster.manager_overhead_us", overhead_us);
-    for name in [
-        "cluster.pool_wait_ms",
-        "service.open_ms",
-        "service.submit_ms",
-        "service.list_ms",
-        "service.status_ms",
-        "service.preseed_traces",
-        "protocol.roundtrip_ms",
-        "protocol.overhead_ms",
-        "generator.lateness_p50_ms",
-        "generator.lateness_max_ms",
-        "generator.backlog",
-    ] {
-        put(&mut m, name, 0.0);
+    let layers = tracer_layers(&tracer);
+    let matching = fitness_matching_random(&snap) as f64;
+    for name in catalogue().per_layer.iter().map(|m| m.name.as_str()) {
+        let value = match name {
+            "campaign.resume_load_ms" => ms(resume_load),
+            "core.fitness_cells_matching_random" => matching,
+            "trace.plain_wall_s" => plain_wall.as_secs_f64(),
+            "trace.traced_wall_s" => traced_wall.as_secs_f64(),
+            "trace.overhead_pct" => {
+                (traced_wall.as_secs_f64() / plain_wall.as_secs_f64() - 1.0) * 100.0
+            }
+            // The service, protocol and generator layers, which a batch
+            // campaign does not reach, report 0.
+            _ => layer_value(&layers, name),
+        };
+        put(&mut m, name, value);
     }
-    put(&mut m, "trace.plain_wall_s", plain_wall.as_secs_f64());
-    put(&mut m, "trace.traced_wall_s", traced_wall.as_secs_f64());
-    put(
-        &mut m,
-        "trace.overhead_pct",
-        (traced_wall.as_secs_f64() / plain_wall.as_secs_f64() - 1.0) * 100.0,
-    );
     Ok(Report { metrics: m, ledger })
 }

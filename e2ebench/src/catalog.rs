@@ -1,75 +1,81 @@
-//! The metric catalogue: every name the benchmark reports, with its unit.
-//! `BENCHMARK.json` at the repository root lists the same names; a
-//! self-test keeps the two in step.
+//! The catalogue of workloads and metrics, read from `BENCHMARK.json` at
+//! the repository root, the one list of every name the benchmark uses.
 
-/// End-to-end metrics, reported by every workload's untraced run.
-pub const END_TO_END: [(&str, &str); 13] = [
-    ("setup_s", "s"),
-    ("wall_s", "s"),
-    ("resume_s", "s"),
-    ("disk_bytes", "bytes"),
-    ("unique_failures", "count"),
-    ("fitness_tests_per_crash", "tests/crash"),
-    ("random_tests_per_crash", "tests/crash"),
-    ("done_p50_ms", "ms"),
-    ("done_p95_ms", "ms"),
-    ("submit_p50_ms", "ms"),
-    ("submit_p95_ms", "ms"),
-    ("read_p50_ms", "ms"),
-    ("read_p95_ms", "ms"),
-];
+use std::sync::OnceLock;
 
-/// Per-layer metrics, reported by every workload's traced run. A layer
-/// the workload does not reach reports 0.
-pub const PER_LAYER: [(&str, &str); 39] = [
-    ("campaign.cell_ms", "ms"),
-    ("campaign.record_ms", "ms"),
-    ("campaign.checkpoint_ms", "ms"),
-    ("campaign.checkpoint_bytes", "bytes"),
-    ("campaign.checkpoints", "count"),
-    ("campaign.export_sync_ms", "ms"),
-    ("campaign.resume_load_ms", "ms"),
-    ("core.generate_ms", "ms"),
-    ("core.complete_ms", "ms"),
-    ("core.complete_fitness_ms", "ms"),
-    ("core.candidates", "count"),
-    ("core.seed_traces", "count"),
-    ("core.fitness_cells_matching_random", "count"),
-    ("targets.vfs_exec_ms", "ms"),
-    ("targets.vfs_us_per_test", "us"),
-    ("targets.sim_exec_ms", "ms"),
-    ("targets.sim_us_per_test", "us"),
-    ("targets.tests", "count"),
-    ("targets.failures", "count"),
-    ("targets.crashes", "count"),
-    ("process.test_ms_p50", "ms"),
-    ("process.test_ms_p95", "ms"),
-    ("process.tests", "count"),
-    ("process.hung", "count"),
-    ("cluster.manager_overhead_us", "us"),
-    ("cluster.pool_wait_ms", "ms"),
-    ("service.open_ms", "ms"),
-    ("service.submit_ms", "ms"),
-    ("service.list_ms", "ms"),
-    ("service.status_ms", "ms"),
-    ("service.preseed_traces", "count"),
-    ("protocol.roundtrip_ms", "ms"),
-    ("protocol.overhead_ms", "ms"),
-    ("generator.lateness_p50_ms", "ms"),
-    ("generator.lateness_max_ms", "ms"),
-    ("generator.backlog", "count"),
-    ("trace.plain_wall_s", "s"),
-    ("trace.traced_wall_s", "s"),
-    ("trace.overhead_pct", "%"),
-];
+/// `BENCHMARK.json`, compiled in.
+const SOURCE: &str = include_str!("../../BENCHMARK.json");
+
+/// One metric: its name and unit.
+#[derive(Debug)]
+pub struct Metric {
+    pub name: String,
+    pub unit: String,
+}
+
+/// The workload names and the two metric lists of `BENCHMARK.json`.
+#[derive(Debug)]
+pub struct Catalogue {
+    pub workloads: Vec<String>,
+    pub end_to_end: Vec<Metric>,
+    pub per_layer: Vec<Metric>,
+}
+
+fn parse(text: &str) -> Result<Catalogue, String> {
+    let json: serde::Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+    let list = |key: &str| -> Result<Vec<&serde::Value>, String> {
+        json.get(key)
+            .and_then(serde::Value::as_array)
+            .map(|xs| xs.iter().collect())
+            .ok_or_else(|| format!("no `{key}` list"))
+    };
+    let field = |entry: &serde::Value, key: &str| -> Result<String, String> {
+        entry
+            .get(key)
+            .and_then(serde::Value::as_str)
+            .map(str::to_owned)
+            .ok_or_else(|| format!("an entry has no `{key}`"))
+    };
+    let metrics = |key: &str| -> Result<Vec<Metric>, String> {
+        list(key)?
+            .into_iter()
+            .map(|m| {
+                Ok(Metric {
+                    name: field(m, "name")?,
+                    unit: field(m, "unit")?,
+                })
+            })
+            .collect()
+    };
+    Ok(Catalogue {
+        workloads: list("workloads")?
+            .into_iter()
+            .map(|w| field(w, "name"))
+            .collect::<Result<_, _>>()?,
+        end_to_end: metrics("end_to_end")?,
+        per_layer: metrics("per_layer")?,
+    })
+}
+
+/// The catalogue.
+///
+/// # Panics
+///
+/// Panics if the compiled-in `BENCHMARK.json` lacks a list or a name or
+/// unit; the self-tests parse it.
+pub fn catalogue() -> &'static Catalogue {
+    static CATALOGUE: OnceLock<Catalogue> = OnceLock::new();
+    CATALOGUE.get_or_init(|| parse(SOURCE).unwrap_or_else(|e| panic!("BENCHMARK.json: {e}")))
+}
 
 /// The unit of a catalogued metric.
 pub fn unit_of(name: &str) -> Option<&'static str> {
-    END_TO_END
+    let c = catalogue();
+    c.end_to_end
         .iter()
-        .chain(PER_LAYER.iter())
-        .find(|(n, _)| *n == name)
-        .map(|(_, u)| *u)
+        .chain(&c.per_layer)
+        .find(|m| m.name == name)
+        .map(|m| m.unit.as_str())
 }
 
 #[cfg(test)]
@@ -79,43 +85,34 @@ mod tests {
 
     #[test]
     fn catalogue_names_are_valid_and_unique() {
-        let all: Vec<&str> = END_TO_END
+        let c = catalogue();
+        assert!(!c.workloads.is_empty());
+        let all: Vec<&str> = c
+            .workloads
             .iter()
-            .chain(PER_LAYER.iter())
-            .map(|(n, _)| *n)
+            .map(String::as_str)
+            .chain(
+                c.end_to_end
+                    .iter()
+                    .chain(&c.per_layer)
+                    .map(|m| m.name.as_str()),
+            )
             .collect();
         for (i, name) in all.iter().enumerate() {
             assert!(valid_name(name), "{name}");
             assert!(!all[..i].contains(name), "{name} listed twice");
-            assert!(valid_unit(unit_of(name).unwrap()), "{name}");
+        }
+        for m in c.end_to_end.iter().chain(&c.per_layer) {
+            assert!(valid_unit(&m.unit), "{}", m.name);
+            assert_eq!(unit_of(&m.name), Some(m.unit.as_str()));
         }
     }
 
     #[test]
-    fn benchmark_json_lists_the_catalogue() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json");
-        let text = std::fs::read_to_string(path).expect("BENCHMARK.json at the repository root");
-        let json: serde::Value = serde_json::from_str(&text).expect("BENCHMARK.json parses");
-        for (key, catalogue) in [
-            ("end_to_end", &END_TO_END[..]),
-            ("per_layer", &PER_LAYER[..]),
-        ] {
-            let listed: Vec<(String, String)> = json
-                .get(key)
-                .and_then(serde::Value::as_array)
-                .expect("metric list")
-                .iter()
-                .map(|m| {
-                    let field =
-                        |f: &str| m.get(f).and_then(serde::Value::as_str).unwrap().to_owned();
-                    (field("name"), field("unit"))
-                })
-                .collect();
-            let expected: Vec<(String, String)> = catalogue
-                .iter()
-                .map(|(n, u)| ((*n).to_owned(), (*u).to_owned()))
-                .collect();
-            assert_eq!(listed, expected, "{key} differs from the catalogue");
-        }
+    fn malformed_catalogues_are_refused() {
+        assert!(parse("{}").is_err());
+        assert!(
+            parse(r#"{"workloads": [], "end_to_end": [{"name": "x"}], "per_layer": []}"#).is_err()
+        );
     }
 }

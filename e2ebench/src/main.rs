@@ -7,9 +7,9 @@
 //! Runs one workload against the release build, checks its outputs, and
 //! prints one JSON object as the last line of stdout: `correct`,
 //! `attempted`, `failed` and `metrics`. With `--trace 0` the metrics are
-//! the end-to-end ones of [`catalog::END_TO_END`]; with `--trace 1` a
-//! traced run reports the per-layer ones of [`catalog::PER_LAYER`].
-//! See `README.md` beside this crate for the workloads and metrics.
+//! the end-to-end ones `BENCHMARK.json` lists; with `--trace 1` a traced
+//! run reports the per-layer ones. See `README.md` beside this crate for
+//! the workloads and metrics.
 
 mod batch;
 mod catalog;
@@ -20,14 +20,6 @@ mod traced;
 use stats::Metrics;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-
-/// The workloads, in `BENCHMARK.json` order.
-const WORKLOADS: [&str; 4] = [
-    "chained-matrix",
-    "minidb-hunt",
-    "service-open-loop",
-    "proc-campaign",
-];
 
 /// Parsed command line.
 struct Args {
@@ -66,9 +58,10 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     let workload: String = workload.ok_or("missing --workload")?;
-    if !WORKLOADS.contains(&workload.as_str()) {
+    let workloads = &catalog::catalogue().workloads;
+    if !workloads.contains(&workload) {
         return Err(format!(
-            "unknown workload `{workload}` (one of {WORKLOADS:?})"
+            "unknown workload `{workload}` (one of {workloads:?})"
         ));
     }
     let seconds: u64 = seconds.unwrap_or(20);
@@ -164,6 +157,43 @@ pub fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
+/// One timed request of an open loop, times in ms since the loop
+/// started.
+#[derive(Debug, Clone, Copy)]
+pub struct Sample {
+    pub due: f64,
+    pub sent: f64,
+    pub replied: f64,
+}
+
+/// How early before a due time an open-loop generator stops sleeping and
+/// spins instead. A sleeping thread wakes up to a few hundred
+/// microseconds late, varying with the machine's load, which is as long
+/// as some of the operations it times.
+const SPIN: Duration = Duration::from_millis(2);
+
+/// Waits until `due` after `t0`: sleeps until shortly before, then spins.
+pub fn sleep_until(t0: Instant, due: Duration) {
+    if let Some(wait) = due.checked_sub(t0.elapsed() + SPIN) {
+        std::thread::sleep(wait);
+    }
+    while t0.elapsed() < due {
+        std::hint::spin_loop();
+    }
+}
+
+/// How late an open-loop generator ran: every request's send time minus
+/// its due time, in ms, and the backlog at the end of the window (the
+/// requests due in the window but sent after it).
+pub fn generator_report(samples: &[Sample], window_ms: f64) -> (Vec<f64>, usize) {
+    let lateness = samples.iter().map(|s| s.sent - s.due).collect();
+    let backlog = samples
+        .iter()
+        .filter(|s| s.due < window_ms && s.sent > window_ms)
+        .count();
+    (lateness, backlog)
+}
+
 /// A fresh scratch directory for this run inside the working directory,
 /// removed again when dropped.
 pub struct WorkDir {
@@ -214,7 +244,7 @@ fn main() {
             eprintln!("e2ebench: {e}");
             eprintln!(
                 "usage: afex-e2ebench --workload <{}> --seed N --seconds S --trace 0|1",
-                WORKLOADS.join("|")
+                catalog::catalogue().workloads.join("|")
             );
             std::process::exit(2);
         }
@@ -239,13 +269,14 @@ fn main() {
         eprintln!("e2ebench: {} could not run: {e}", args.workload);
         std::process::exit(1);
     });
-    let catalogue: &[(&str, &str)] = if args.trace {
-        &catalog::PER_LAYER
+    let catalogue = catalog::catalogue();
+    let listed = if args.trace {
+        &catalogue.per_layer
     } else {
-        &catalog::END_TO_END
+        &catalogue.end_to_end
     };
     let reported: Vec<&str> = report.metrics.names().collect();
-    let expected: Vec<&str> = catalogue.iter().map(|(n, _)| *n).collect();
+    let expected: Vec<&str> = listed.iter().map(|m| m.name.as_str()).collect();
     let mut sorted_reported = reported.clone();
     sorted_reported.sort_unstable();
     let mut sorted_expected = expected.clone();

@@ -2,7 +2,7 @@
 //! daemon on a fresh root, driven over its socket with
 //! `afex::protocol::request`.
 //!
-//! 1. Set-up and probe, five times: a daemon is spawned on a fresh
+//! 1. Set-up and probe, seven times: a daemon is spawned on a fresh
 //!    root (`setup_s` is the median spawn-to-first-reply time) and given
 //!    the probe campaign as its first, unpreseeded submission (`wall_s`
 //!    is the median submit-to-complete time). The probe's files must
@@ -28,9 +28,13 @@
 //! campaign's cells standalone (`cluster.pool_wait_ms`).
 
 use crate::batch::{put_latency, put_quality};
+use crate::catalog::catalogue;
 use crate::stats::{median, Metrics};
-use crate::traced::standalone_cell_ms;
-use crate::{bin_dir, dir_size, ms, put, same_bytes, strings, Ctx, Ledger, Report};
+use crate::traced::{layer_value, standalone_cell_ms, tracer_layers, Tracer};
+use crate::{
+    bin_dir, dir_size, generator_report, ms, put, same_bytes, sleep_until, strings, Ctx, Ledger,
+    Report, Sample,
+};
 use afex::campaign::{build_spec, run_campaign, SpecOptions};
 use afex::core::campaign::CampaignSnapshot;
 use afex::protocol::{request, Request, Response};
@@ -65,7 +69,7 @@ const ROTATION: [&str; 4] = ["vfs:docstore-recovery", "httpd", "docstore-0.8", "
 
 /// Probe daemons, each timed for `setup_s`, its probe for `wall_s` and
 /// a restart on its finished root for `resume_s`.
-const SPAWNS: usize = 5;
+const SPAWNS: usize = 7;
 
 /// Matrix cells that complete before the window opens, so that the
 /// window sees the matrix checkpointing from its first request.
@@ -250,15 +254,6 @@ fn wait_cells(socket: &Path, id: u64, cells: usize, limit: Duration) -> Result<(
     }
 }
 
-/// One timed request of the open loop, times in ms since the window
-/// opened.
-#[derive(Debug, Clone, Copy)]
-struct Sample {
-    due: f64,
-    sent: f64,
-    replied: f64,
-}
-
 /// What the open loop measured.
 #[derive(Debug, Default)]
 struct OpenLoop {
@@ -270,13 +265,6 @@ struct OpenLoop {
     seen_complete: HashMap<u64, f64>,
     failed_requests: u64,
     problems: Vec<String>,
-}
-
-/// Sleeps until `due` after `t0`.
-fn sleep_until(t0: Instant, due: Duration) {
-    if let Some(wait) = due.checked_sub(t0.elapsed()) {
-        std::thread::sleep(wait);
-    }
 }
 
 /// Runs the two request streams for `window`, then keeps polling until
@@ -414,7 +402,7 @@ pub fn run(ctx: &Ctx, trace: bool) -> Result<Report, String> {
     let root = ctx.work.join("root");
     let socket = ctx.work.join("d.sock");
 
-    // 1. Set-up and the probe, on five throwaway roots.
+    // 1. Set-up and the probe, on seven throwaway roots.
     let probe = probe_opts(ctx.seed);
     let mut setups = Vec::new();
     let mut probe_walls = Vec::new();
@@ -515,20 +503,13 @@ pub fn run(ctx: &Ctx, trace: bool) -> Result<Report, String> {
         );
     }
 
-    let lateness: Vec<f64> = ol
+    let generated: Vec<Sample> = ol
         .writes
         .iter()
-        .map(|(s, _)| s)
-        .chain(ol.reads.iter())
-        .map(|s| s.sent - s.due)
+        .map(|(s, _)| *s)
+        .chain(ol.reads.iter().copied())
         .collect();
-    let backlog = ol
-        .writes
-        .iter()
-        .map(|(s, _)| s)
-        .chain(ol.reads.iter())
-        .filter(|s| s.due < window_ms && s.sent > window_ms)
-        .count();
+    let (lateness, backlog) = generator_report(&generated, window_ms);
     println!(
         "service-open-loop: probes {probe_walls:?} s; {} submissions, {} reads, {} seen complete, generator lateness p50 {:.3} ms max {:.3} ms, backlog {} at window end",
         ol.writes.len(),
@@ -595,18 +576,20 @@ pub fn run(ctx: &Ctx, trace: bool) -> Result<Report, String> {
     let in_process_ms = (list_ms + status_ms) / 2.0;
 
     // Pool wait: done latency minus the campaign's own cells run alone.
+    let tracer = Tracer::default();
     let mut waits = Vec::new();
     for &(i, done_ms) in done_by_index.iter().take(STANDALONE_SAMPLES) {
         let spec = build_spec(&small_opts(ctx.seed, i)).map_err(|e| e.to_string())?;
         let own: f64 = spec
             .cells()
             .iter()
-            .map(|c| standalone_cell_ms(c, &spec))
+            .map(|c| standalone_cell_ms(c, &spec, &tracer))
             .sum();
         waits.push(done_ms - own);
     }
 
-    for name in crate::catalog::PER_LAYER.iter().map(|(n, _)| *n) {
+    let layers = tracer_layers(&tracer);
+    for name in catalogue().per_layer.iter().map(|m| m.name.as_str()) {
         let value = match name {
             "cluster.pool_wait_ms" => median(&waits).unwrap_or(0.0),
             "service.open_ms" => open_ms,
@@ -619,8 +602,11 @@ pub fn run(ctx: &Ctx, trace: bool) -> Result<Report, String> {
             "generator.lateness_p50_ms" => median(&lateness).unwrap_or(0.0),
             "generator.lateness_max_ms" => lateness.iter().copied().fold(0.0, f64::max),
             "generator.backlog" => backlog as f64,
-            // Layers this workload reaches only inside the daemon.
-            _ => 0.0,
+            // The explorer and target layers as the standalone small
+            // campaign cells exercised them; the campaign layer's
+            // checkpoints, resumes and the tracing overhead are not
+            // measured on this workload and report 0.
+            _ => layer_value(&layers, name),
         };
         put(&mut m, name, value);
     }

@@ -19,6 +19,7 @@
 //! The caller compares the traced run's files with an untraced
 //! `run_campaign` of the same spec byte for byte.
 
+use crate::stats::{median, quotable};
 use afex::campaign::{
     chain_seeds_cached, default_metric, is_proc_target, proc_target_space, target_space,
     vfs_target_space, write_snapshot, CorpusExporter, TraceSeeds,
@@ -390,9 +391,88 @@ pub fn run_campaign_traced(
 }
 
 /// Runs one cell standalone (no chain seeds), the way the campaign
-/// service's pool would run it alone, and returns its wall time in ms.
-pub fn standalone_cell_ms(cell: &CampaignCell, spec: &CampaignSpec) -> f64 {
+/// service's pool would run it alone, with the timers of `t`, and
+/// returns its wall time in ms.
+pub fn standalone_cell_ms(cell: &CampaignCell, spec: &CampaignSpec, t: &Tracer) -> f64 {
     let t0 = Instant::now();
-    std::hint::black_box(afex::campaign::run_cell(cell, spec, &TraceSeeds::new()));
+    std::hint::black_box(traced_cell(cell, spec, &TraceSeeds::new(), t));
     t0.elapsed().as_secs_f64() * 1e3
+}
+
+/// Milliseconds in a nanosecond counter.
+fn counter_ms(counter: &AtomicU64) -> f64 {
+    Tracer::get(counter) as f64 / 1e6
+}
+
+/// The per-layer metrics a tracer gathered, by catalogue name.
+pub fn tracer_layers(t: &Tracer) -> Vec<(&'static str, f64)> {
+    let count = |c: &AtomicU64| Tracer::get(c) as f64;
+    let per_test_us =
+        |ns: &AtomicU64, n: &AtomicU64| Tracer::get(ns) as f64 / 1e3 / Tracer::get(n).max(1) as f64;
+    let proc_ms = t.proc_test_ms.lock().expect("sample list poisoned").clone();
+    let pool_tests = Tracer::get(&t.pool_tests);
+    // Issue-to-completion minus execute time, per test run on a pool.
+    let manager_overhead_us = if pool_tests == 0 {
+        0.0
+    } else {
+        (count(&t.pool_latency_ns) - count(&t.pool_exec_ns)) / 1e3 / pool_tests as f64
+    };
+    vec![
+        ("campaign.cell_ms", counter_ms(&t.cell_ns)),
+        ("campaign.record_ms", counter_ms(&t.record_ns)),
+        ("campaign.checkpoint_ms", counter_ms(&t.checkpoint_ns)),
+        ("campaign.checkpoint_bytes", count(&t.checkpoint_bytes)),
+        ("campaign.checkpoints", count(&t.checkpoints)),
+        ("campaign.export_sync_ms", counter_ms(&t.export_sync_ns)),
+        ("core.generate_ms", counter_ms(&t.generate_ns)),
+        ("core.complete_ms", counter_ms(&t.complete_ns)),
+        (
+            "core.complete_fitness_ms",
+            counter_ms(&t.complete_fitness_ns),
+        ),
+        ("core.candidates", count(&t.candidates)),
+        ("core.seed_traces", count(&t.seed_traces)),
+        ("targets.vfs_exec_ms", counter_ms(&t.vfs_exec_ns)),
+        (
+            "targets.vfs_us_per_test",
+            per_test_us(&t.vfs_exec_ns, &t.vfs_tests),
+        ),
+        ("targets.sim_exec_ms", counter_ms(&t.sim_exec_ns)),
+        (
+            "targets.sim_us_per_test",
+            per_test_us(&t.sim_exec_ns, &t.sim_tests),
+        ),
+        ("targets.tests", count(&t.tests)),
+        ("targets.failures", count(&t.failures)),
+        ("targets.crashes", count(&t.crashes)),
+        ("process.test_ms_p50", median(&proc_ms).unwrap_or(0.0)),
+        (
+            "process.test_ms_p95",
+            quotable(&proc_ms, 95.0).unwrap_or(0.0),
+        ),
+        ("process.tests", proc_ms.len() as f64),
+        ("process.hung", count(&t.proc_hung)),
+        ("cluster.manager_overhead_us", manager_overhead_us),
+    ]
+}
+
+/// The value of `name` among `layers`, or 0 for a layer the run did not
+/// reach.
+pub fn layer_value(layers: &[(&str, f64)], name: &str) -> f64 {
+    layers
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map_or(0.0, |(_, v)| *v)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tracer_layers_are_catalogued() {
+        for (name, _) in tracer_layers(&Tracer::default()) {
+            assert!(crate::catalog::unit_of(name).is_some(), "{name}");
+        }
+    }
 }
