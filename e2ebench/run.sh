@@ -3,7 +3,7 @@
 # shim) and the benchmark into one target directory, then runs the
 # benchmark with the given arguments:
 #
-#   bash e2ebench/run.sh --workload chained-matrix --seed 1 --seconds 20 --trace 0
+#   bash e2ebench/run.sh --workload proc-campaign --seed 1 --seconds 24 --trace 0
 #
 # Run from the repository root. Build output goes to stderr; the last
 # line of stdout is the result object.

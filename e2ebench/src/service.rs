@@ -2,35 +2,36 @@
 //! daemon on a fresh root, driven over its socket with
 //! `afex::protocol::request`.
 //!
-//! 1. Set-up and probe, seven times: a daemon is spawned on a fresh
+//! 1. Set-up and probe, six times: a daemon is spawned on a fresh
 //!    root (`setup_s` is the median spawn-to-first-reply time) and given
 //!    the probe campaign as its first, unpreseeded submission (`wall_s`
 //!    is the median submit-to-complete time). The probe's files must
 //!    equal a library `run_campaign` of the same spec byte for byte, and
 //!    its directory gives `disk_bytes` and the search-quality metrics.
+//!    Five more probes follow step 4, for eleven in all.
 //! 2. The run's own daemon is spawned on a fresh root and a 1024-cell
 //!    chained matrix is submitted as background load, sized to outlast
 //!    the window (checked). The window opens once the matrix has finished
 //!    its first [`WARM_CELLS`] cells.
-//! 3. Open loop for the window: one thread submits a small campaign every
-//!    100 ms (writes), another sends a `List` or `Status` request every
-//!    100 ms (reads). Each request is timed from when it was due, so a
+//! 3. Open loop for the window: one thread submits a small campaign once
+//!    every 100 ms (writes), another sends a `List` or `Status` request
+//!    once every 100 ms (reads), each at a point of its period drawn from
+//!    the seed. Each request is timed from when it was due, so a
 //!    stall also delays the requests queued behind it. The `List` replies
 //!    double as the poll that sees submissions complete (`done_*`).
 //! 4. After the window the poll continues until every submission is
 //!    complete (or a deadline passes, which fails them), `health` must
 //!    show no failed or degraded campaign, and the daemon shuts down.
-//! 5. `resume_s`: a daemon is restarted on each probe's finished root
-//!    and timed to its first reply.
 //!
-//! The traced run does steps 1–4 and then measures the service and
-//! protocol layers in-process on the run's root, plus each small
-//! campaign's cells standalone (`cluster.pool_wait_ms`).
+//! The traced run does the same and then measures the service and
+//! protocol layers in-process on the run's root, each small campaign's
+//! cells standalone (`cluster.pool_wait_ms`), and the probe through the
+//! timed rebuild of `run_campaign`, whose files must equal the daemon's.
 
 use crate::batch::{put_latency, put_quality};
 use crate::catalog::catalogue;
 use crate::stats::{median, Metrics};
-use crate::traced::{layer_value, standalone_cell_ms, tracer_layers, Tracer};
+use crate::traced::{layer_value, run_campaign_traced, standalone_cell_ms, tracer_layers, Tracer};
 use crate::{
     bin_dir, dir_size, generator_report, ms, put, same_bytes, sleep_until, strings, Ctx, Ledger,
     Report, Sample,
@@ -49,12 +50,15 @@ use std::time::{Duration, Instant};
 /// Daemon pool width.
 const WORKERS: &str = "2";
 
-/// Submissions per second (the write stream).
+/// The write stream's period: one submission is due in each.
 const WRITE_EVERY: Duration = Duration::from_millis(100);
 
-/// How often the read stream sends a request, alternating `List` and a
-/// `Status` of the latest submission.
+/// The read stream's period: one request is due in each, alternating
+/// `List` and a `Status` of the latest submission.
 const READ_EVERY: Duration = Duration::from_millis(100);
+
+/// How often a starting daemon's socket is looked for.
+const POLL_EVERY: Duration = Duration::from_micros(200);
 
 /// How long after the window submissions may take to complete before
 /// they count as failed.
@@ -67,13 +71,15 @@ const DAEMON_LIMIT: Duration = Duration::from_secs(60);
 /// The targets small campaigns rotate over.
 const ROTATION: [&str; 4] = ["vfs:docstore-recovery", "httpd", "docstore-0.8", "minidb"];
 
-/// Probe daemons, each timed for `setup_s`, its probe for `wall_s` and
-/// a restart on its finished root for `resume_s`.
-const SPAWNS: usize = 7;
+/// Probe daemons, each timed for `setup_s` and its probe for `wall_s`.
+const SPAWNS: usize = 11;
 
 /// Matrix cells that complete before the window opens, so that the
 /// window sees the matrix checkpointing from its first request.
 const WARM_CELLS: usize = 64;
+
+/// The probe's files compared byte for byte with a library run.
+const PROBE_FILES: [&str; 3] = ["campaign.json", "corpus.jsonl", "corpus.jsonl.idx"];
 
 /// In-process calls timed per service query in the traced run.
 const QUERY_SAMPLES: usize = 25;
@@ -81,7 +87,9 @@ const QUERY_SAMPLES: usize = 25;
 /// Small campaigns whose cells the traced run re-times standalone.
 const STANDALONE_SAMPLES: usize = 20;
 
-/// The probe: an unpreseeded campaign on the idle daemon.
+/// The probe: an unpreseeded campaign on the idle daemon. Its cells run
+/// on two `ParallelSession` managers, the path no other part of the
+/// benchmark takes.
 fn probe_opts(seed: u64) -> SpecOptions {
     SpecOptions {
         targets: strings(&["httpd"]),
@@ -89,7 +97,7 @@ fn probe_opts(seed: u64) -> SpecOptions {
         seeds: 16,
         base_seed: seed,
         iterations: 2000,
-        cell_workers: 1,
+        cell_workers: 2,
         ..SpecOptions::default()
     }
 }
@@ -131,6 +139,28 @@ fn small_opts(seed: u64, i: u64) -> SpecOptions {
     }
 }
 
+/// When the `k`th request of a stream is due: at a point of its `k`th
+/// period drawn from the seed. The daemon's accept loop sleeps 25 ms
+/// whenever no connection is waiting, so requests on a fixed grid would
+/// meet it at one phase for a whole run, and their latency would depend
+/// on that phase, and jump with it, rather than on the work per request.
+/// Drawn due times meet every phase alike, as independent users do, and
+/// the two streams no longer arrive together; each stream still sends
+/// exactly one request per period.
+fn due_at(seed: u64, stream: u64, period: Duration, k: u64) -> Duration {
+    let draw = splitmix64(seed ^ splitmix64(stream ^ splitmix64(k)));
+    let fraction = (draw >> 11) as f64 / (1u64 << 53) as f64;
+    period * k as u32 + period.mul_f64(fraction)
+}
+
+/// The SplitMix64 mixing function.
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// A running daemon, killed and reaped if dropped without a clean
 /// shutdown.
 struct Daemon {
@@ -141,6 +171,12 @@ struct Daemon {
 impl Daemon {
     /// Spawns `afex-cli serve` and waits for its first reply; returns the
     /// daemon and the spawn-to-first-reply time.
+    ///
+    /// The request is sent once the socket exists, which the daemon binds
+    /// after opening its root. Asking earlier would time the client's
+    /// connect back-off (10, 20 and 40 ms) rather than the daemon: a
+    /// daemon that opened its root a few milliseconds later would then
+    /// be seen up to 40 ms later.
     fn spawn(socket: &Path, root: &Path) -> Result<(Daemon, Duration), String> {
         let cli = bin_dir().join("afex-cli");
         let t0 = Instant::now();
@@ -159,8 +195,10 @@ impl Daemon {
             socket: socket.to_owned(),
         };
         loop {
-            if let Ok(Response::Health(_)) = request(socket, &Request::Health) {
-                return Ok((daemon, t0.elapsed()));
+            if socket.exists() {
+                if let Ok(Response::Health(_)) = request(socket, &Request::Health) {
+                    return Ok((daemon, t0.elapsed()));
+                }
             }
             let exited = daemon
                 .child
@@ -172,7 +210,7 @@ impl Daemon {
             if t0.elapsed() > DAEMON_LIMIT {
                 return Err("daemon did not reply in time".into());
             }
-            std::thread::sleep(Duration::from_millis(1));
+            std::thread::sleep(POLL_EVERY);
         }
     }
 
@@ -208,6 +246,27 @@ impl Drop for Daemon {
             let _ = child.wait();
         }
     }
+}
+
+/// Spawns a daemon on the fresh `root` and runs the probe as its first,
+/// unpreseeded campaign. Returns the spawn-to-first-reply time and, if
+/// the probe completed, its submit-to-complete time, both in seconds.
+fn run_probe(
+    socket: &Path,
+    root: &Path,
+    probe: &SpecOptions,
+    ledger: &mut Ledger,
+) -> Result<(f64, Option<f64>), String> {
+    let (d, took) = Daemon::spawn(socket, root)?;
+    ledger.ok(1);
+    let t0 = Instant::now();
+    let id = ledger.op("probe submission", submit(socket, probe));
+    ledger.check("the probe is campaign 1", id == Some(1));
+    let wall = id
+        .and_then(|id| ledger.op("probe completion", wait_complete(socket, id, DAEMON_LIMIT)))
+        .map(|done| done.duration_since(t0).as_secs_f64());
+    ledger.op("shutdown", d.shutdown());
+    Ok((took.as_secs_f64(), wall))
 }
 
 /// Submits a campaign and returns its id.
@@ -280,7 +339,7 @@ fn open_loop(socket: &Path, seed: u64, window: Duration) -> OpenLoop {
         scope.spawn(|| {
             let mut i = 0u64;
             loop {
-                let due = WRITE_EVERY * i as u32;
+                let due = due_at(seed, 0, WRITE_EVERY, i);
                 if due >= window {
                     break;
                 }
@@ -314,7 +373,7 @@ fn open_loop(socket: &Path, seed: u64, window: Duration) -> OpenLoop {
             let mut seen: HashMap<u64, f64> = HashMap::new();
             let mut j = 0u64;
             loop {
-                let due = READ_EVERY * j as u32;
+                let due = due_at(seed, 1, READ_EVERY, j);
                 let in_window = due < window;
                 if !in_window {
                     let acked = acked.lock().expect("ack list poisoned");
@@ -402,40 +461,19 @@ pub fn run(ctx: &Ctx, trace: bool) -> Result<Report, String> {
     let root = ctx.work.join("root");
     let socket = ctx.work.join("d.sock");
 
-    // 1. Set-up and the probe, on seven throwaway roots.
+    // 1. Set-up and the probe, on the first of eleven throwaway roots.
     let probe = probe_opts(ctx.seed);
     let mut setups = Vec::new();
     let mut probe_walls = Vec::new();
     let probe_roots: Vec<PathBuf> = (0..SPAWNS)
         .map(|i| ctx.work.join(format!("probe-{i}")))
         .collect();
-    for (i, probe_root) in probe_roots.iter().enumerate() {
-        let probe_socket = ctx.work.join(format!("p{i}.sock"));
-        let (d, took) = Daemon::spawn(&probe_socket, probe_root)?;
-        setups.push(took.as_secs_f64());
-        ledger.ok(1);
-        let t0 = Instant::now();
-        let id = ledger.op("probe submission", submit(&probe_socket, &probe));
-        ledger.check("the probe is campaign 1", id == Some(1));
-        if let Some(done) = id.and_then(|id| {
-            ledger.op(
-                "probe completion",
-                wait_complete(&probe_socket, id, DAEMON_LIMIT),
-            )
-        }) {
-            probe_walls.push(done.duration_since(t0).as_secs_f64());
-        }
-        ledger.op("shutdown", d.shutdown());
-    }
-    let probe_dir = probe_roots[0].join("campaigns").join("1");
-    for other in &probe_roots[1..] {
-        ledger.check(
-            "every probe run writes the same snapshot",
-            same_bytes(
-                &probe_dir.join("campaign.json"),
-                &other.join("campaigns/1/campaign.json"),
-            ),
-        );
+    let probe_socket = |i: usize| ctx.work.join(format!("p{i}.sock"));
+    let (early, late) = probe_roots.split_at(SPAWNS.div_ceil(2));
+    for (i, probe_root) in early.iter().enumerate() {
+        let (setup, wall) = run_probe(&probe_socket(i), probe_root, &probe, &mut ledger)?;
+        setups.push(setup);
+        probe_walls.extend(wall);
     }
     let (daemon, took) = Daemon::spawn(&socket, &root)?;
     setups.push(took.as_secs_f64());
@@ -483,9 +521,34 @@ pub fn run(ctx: &Ctx, trace: bool) -> Result<Report, String> {
     );
     ledger.op("shutdown", daemon.shutdown());
 
+    // The rest of the probes, so that the probes sample the machine's
+    // speed over the whole run and not only its first seconds: the speed
+    // wanders by a third over tens of seconds.
+    for (i, probe_root) in late.iter().enumerate() {
+        let (setup, wall) = run_probe(
+            &probe_socket(early.len() + i),
+            probe_root,
+            &probe,
+            &mut ledger,
+        )?;
+        setups.push(setup);
+        probe_walls.extend(wall);
+    }
+    let probe_dir = probe_roots[0].join("campaigns").join("1");
+    for other in &probe_roots[1..] {
+        ledger.check(
+            "every probe run writes the same snapshot",
+            same_bytes(
+                &probe_dir.join("campaign.json"),
+                &other.join("campaigns/1/campaign.json"),
+            ),
+        );
+    }
+
     // The probe against the library.
     let parity_dir = ctx.work.join("parity");
     let mut lib = CampaignSnapshot::new(build_spec(&probe).map_err(|e| e.to_string())?);
+    let t0 = Instant::now();
     ledger.op(
         "library run_campaign",
         run_campaign(
@@ -496,7 +559,8 @@ pub fn run(ctx: &Ctx, trace: bool) -> Result<Report, String> {
             false,
         ),
     );
-    for f in ["campaign.json", "corpus.jsonl", "corpus.jsonl.idx"] {
+    let plain_wall = t0.elapsed().as_secs_f64();
+    for f in PROBE_FILES {
         ledger.check(
             &format!("the probe's {f} equals a library run_campaign's byte for byte"),
             same_bytes(&probe_dir.join(f), &parity_dir.join(f)),
@@ -521,13 +585,7 @@ pub fn run(ctx: &Ctx, trace: bool) -> Result<Report, String> {
     );
 
     if !trace {
-        // 5. Restarts on the probes' finished roots.
-        let mut resumes = Vec::new();
-        for (i, probe_root) in probe_roots.iter().enumerate() {
-            let (d, took) = Daemon::spawn(&ctx.work.join(format!("p{i}.sock")), probe_root)?;
-            resumes.push(took.as_secs_f64());
-            ledger.op("restart shutdown", d.shutdown());
-        }
+        println!("service-open-loop: spawns {setups:?} s");
         let snap = std::fs::read_to_string(probe_dir.join("campaign.json"))
             .map_err(|e| e.to_string())
             .and_then(|t| CampaignSnapshot::from_json(&t).map_err(|e| e.to_string()));
@@ -536,7 +594,6 @@ pub fn run(ctx: &Ctx, trace: bool) -> Result<Report, String> {
             .ok_or("the probe left no snapshot")?;
         put(&mut m, "setup_s", median(&setups).unwrap_or(0.0));
         put(&mut m, "wall_s", median(&probe_walls).unwrap_or(0.0));
-        put(&mut m, "resume_s", median(&resumes).unwrap_or(0.0));
         put(&mut m, "disk_bytes", dir_size(&probe_dir) as f64);
         put_quality(&mut m, &snap, &mut ledger);
         put_latency(&mut m, "done", &done, &mut ledger);
@@ -588,6 +645,22 @@ pub fn run(ctx: &Ctx, trace: bool) -> Result<Report, String> {
         waits.push(done_ms - own);
     }
 
+    // The probe again, through the timed rebuild of `run_campaign`.
+    let traced_dir = ctx.work.join("traced-probe");
+    let mut traced = CampaignSnapshot::new(build_spec(&probe).map_err(|e| e.to_string())?);
+    let t0 = Instant::now();
+    ledger.op(
+        "traced probe run_campaign",
+        run_campaign_traced(&mut traced, 1, &traced_dir, &tracer),
+    );
+    let traced_wall = t0.elapsed().as_secs_f64();
+    for f in PROBE_FILES {
+        ledger.check(
+            &format!("the traced probe's {f} equals the daemon's byte for byte"),
+            same_bytes(&probe_dir.join(f), &traced_dir.join(f)),
+        );
+    }
+
     let layers = tracer_layers(&tracer);
     for name in catalogue().per_layer.iter().map(|m| m.name.as_str()) {
         let value = match name {
@@ -602,10 +675,13 @@ pub fn run(ctx: &Ctx, trace: bool) -> Result<Report, String> {
             "generator.lateness_p50_ms" => median(&lateness).unwrap_or(0.0),
             "generator.lateness_max_ms" => lateness.iter().copied().fold(0.0, f64::max),
             "generator.backlog" => backlog as f64,
-            // The explorer and target layers as the standalone small
-            // campaign cells exercised them; the campaign layer's
-            // checkpoints, resumes and the tracing overhead are not
-            // measured on this workload and report 0.
+            "trace.plain_wall_s" => plain_wall,
+            "trace.traced_wall_s" => traced_wall,
+            "trace.overhead_pct" => (traced_wall / plain_wall - 1.0) * 100.0,
+            // The campaign, explorer, target and `ParallelSession`
+            // layers as the standalone small campaign cells and the
+            // traced probe exercised them; the process layer and
+            // resumes are not reached and report 0.
             _ => layer_value(&layers, name),
         };
         put(&mut m, name, value);
