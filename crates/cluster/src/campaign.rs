@@ -1,37 +1,39 @@
-//! Sharded multi-cell scheduling over the manager pool.
+//! Batch scheduling of one campaign's matrix of cells.
 //!
 //! [`ParallelSession`](crate::ParallelSession) pumps **one** explorer
 //! through the pool; a campaign has a whole matrix of independent cells
 //! (`target × strategy × seed`). Since cells are exploration sessions —
 //! and tests within them are already "embarrassingly parallel" (§6.1) —
-//! the scheduler parallelizes at cell granularity: every worker of the
-//! pool owns a sharded queue of work, runs each cell's session to
-//! completion, and steals from its neighbours' queues when its own shard
-//! drains. Cell-level scheduling keeps each session sequential and
-//! therefore bit-deterministic in its own seed, which is what lets an
-//! interrupted campaign resume to an identical corpus no matter how many
-//! workers the pool has or how they interleave.
+//! the scheduler parallelizes at cell granularity: each picked cell's
+//! session runs to completion on one worker. Cell-level scheduling keeps
+//! each session sequential and therefore bit-deterministic in its own
+//! seed, which is what lets an interrupted campaign resume to an
+//! identical corpus no matter how many workers the pool has or how they
+//! interleave.
 //!
 //! The unit of dispatch is a [`CellChain`]: cells that must run
 //! serialized, in order, each seeing state folded from its predecessors
 //! (cross-cell redundancy chaining seeds cell *k*'s feedback from the
 //! traces of same-target cells `0..k`). Independent cells are simply
-//! singleton chains — [`CampaignScheduler::run_with`] wraps them so the
-//! fully-parallel case keeps its old API. Chains serialize their own
-//! cells but fan out against each other, and because a chain's outcomes
-//! depend only on its own cell order and initial state, the schedule is
-//! deterministic in the spec regardless of pool width.
+//! singleton chains. Chains serialize their own cells but fan out
+//! against each other, and because a chain's outcomes depend only on its
+//! own cell order and initial state, the schedule is deterministic in
+//! the spec regardless of pool width.
+//!
+//! [`CampaignScheduler`] has no scheduling loop of its own: it runs the
+//! [`MultiplexPool`](crate::MultiplexPool) core on scoped workers with
+//! the campaign as its only stream, so batch campaigns and the campaign
+//! service share one pick order and one panic quarantine.
 //!
 //! The scheduler is generic over the cell, state, and outcome types so it
 //! stays target-agnostic (`afex-targets` wiring lives in the `afex`
 //! facade crate).
 
+use crate::multiplex::{CellResult, PoolCore};
 use crossbeam::channel;
-use std::collections::VecDeque;
-use std::sync::Mutex;
 
-/// A dependency chain of cells: they run serialized, in order, on one
-/// worker, threading `state` from each finished cell into the next.
+/// A dependency chain of cells: they run serialized, in order, threading
+/// `state` from each finished cell into the next.
 pub struct CellChain<S, C> {
     /// State visible to every cell of the chain, updated after each cell
     /// completes (e.g. the deduped failure traces found so far).
@@ -40,9 +42,19 @@ pub struct CellChain<S, C> {
     pub cells: Vec<C>,
 }
 
-/// A pool of workers draining sharded per-worker chain queues.
+/// Runs one campaign's chains to completion on a pool of scoped workers.
 pub struct CampaignScheduler {
     workers: usize,
+}
+
+/// Stops the pool when dropped, so the scoped workers return even when
+/// the caller's `on_complete` unwinds mid-stream.
+struct StopOnDrop<'p, 'a, S, C, O>(&'p PoolCore<'a, S, C, O>);
+
+impl<S, C, O> Drop for StopOnDrop<'_, '_, S, C, O> {
+    fn drop(&mut self) {
+        self.0.stop();
+    }
 }
 
 impl CampaignScheduler {
@@ -56,30 +68,27 @@ impl CampaignScheduler {
         CampaignScheduler { workers }
     }
 
-    /// Number of pool workers.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Runs every chain on the pool. A worker owns a chain end to end:
-    /// it runs the chain's cells in order, calling `run_cell(cell,
-    /// &state)` for each and folding the outcome back into the chain
-    /// state with `update(&mut state, &cell, &outcome)` before the next
-    /// cell starts. Outcomes stream to `on_complete` on the calling
-    /// thread in wall-clock completion order — the campaign driver uses
-    /// it to checkpoint snapshots after every cell without copying
-    /// outcomes.
+    /// Runs every chain on the pool. A chain's cells run in order:
+    /// `run_cell(cell, &state)` for each, folding the outcome back into
+    /// the chain state with `update(&mut state, &cell, &outcome)` before
+    /// the next cell starts. Outcomes stream to `on_complete` on the
+    /// calling thread in wall-clock completion order — the campaign
+    /// driver uses it to checkpoint snapshots after every cell without
+    /// copying outcomes.
     ///
-    /// Chains are dealt round-robin into one shard per worker; a worker
-    /// pops from the front of its own shard and steals from the back of
-    /// the fullest other shard once its own is empty. Since state never
-    /// crosses chains, every outcome is a pure function of its chain's
-    /// initial state and cell order — independent of pool width and of
-    /// how chains interleave on the wall clock.
+    /// A free worker picks the first chain in list order whose state is
+    /// home and whose cells remain, so a single worker runs the chains
+    /// one after another in list order. Since state never crosses
+    /// chains, every outcome is a pure function of its chain's initial
+    /// state and cell order — independent of pool width and of how
+    /// chains interleave on the wall clock.
     ///
     /// # Panics
     ///
-    /// Propagates panics from `run_cell` (the scope joins all workers).
+    /// A panic in `run_cell` or `update` quarantines its chain: the
+    /// chain's remaining cells are dropped, the other chains run to
+    /// completion and deliver every outcome, and then this call panics
+    /// with the first panicking cell's message.
     pub fn run_chains<S, C, O, F, U, G>(
         &self,
         chains: Vec<CellChain<S, C>>,
@@ -94,172 +103,110 @@ impl CampaignScheduler {
         U: Fn(&mut S, &C, &O) + Sync,
         G: FnMut(O),
     {
-        let shards: Vec<Mutex<VecDeque<CellChain<S, C>>>> =
-            (0..self.workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, chain) in chains.into_iter().enumerate() {
-            shards[i % self.workers]
-                .lock()
-                .expect("shard poisoned")
-                .push_back(chain);
-        }
-        let (res_tx, res_rx) = channel::unbounded::<O>();
-        std::thread::scope(|scope| {
-            for me in 0..self.workers {
-                let shards = &shards;
-                let run_cell = &run_cell;
-                let update = &update;
-                let res_tx = res_tx.clone();
-                scope.spawn(move || {
-                    'chains: while let Some(mut chain) = next_chain(shards, me) {
-                        for cell in &chain.cells {
-                            let outcome = run_cell(cell, &chain.state);
-                            update(&mut chain.state, cell, &outcome);
-                            if res_tx.send(outcome).is_err() {
-                                break 'chains;
-                            }
-                        }
-                    }
-                });
-            }
-            drop(res_tx);
-            for outcome in res_rx.iter() {
-                on_complete(outcome);
-            }
-        });
-    }
-
-    /// Runs independent cells through `run_cell` on the pool, streaming
-    /// each owned outcome to `on_complete` on the calling thread in
-    /// wall-clock completion order. Each cell is a singleton
-    /// [`CellChain`], so all cells fan out freely.
-    ///
-    /// # Panics
-    ///
-    /// Propagates panics from `run_cell` (the scope joins all workers).
-    pub fn run_with<C, O, F, G>(&self, cells: Vec<C>, run_cell: F, mut on_complete: G)
-    where
-        C: Send,
-        O: Send,
-        F: Fn(usize, &C) -> O + Sync,
-        G: FnMut(usize, O),
-    {
-        let chains = cells
-            .into_iter()
-            .enumerate()
-            .map(|(i, cell)| CellChain {
-                state: (),
-                cells: vec![(i, cell)],
-            })
-            .collect();
-        self.run_chains(
+        let core = PoolCore::new(Box::new(&run_cell), Box::new(&update));
+        // The stream's callback owns the only sender: the channel closes
+        // once the stream is exhausted and the pool drops it.
+        let (res_tx, res_rx) = channel::unbounded();
+        core.submit(
             chains,
-            |(i, cell), ()| (*i, run_cell(*i, cell)),
-            |(), _, _| {},
-            |(i, outcome)| on_complete(i, outcome),
+            Box::new(move |res| {
+                let _ = res_tx.send(res);
+            }),
         );
-    }
-
-    /// Like [`Self::run_with`], but collects the outcomes and returns
-    /// them **in cell order** (index `i` of the result is cell `i`).
-    pub fn run<C, O, F>(&self, cells: Vec<C>, run_cell: F) -> Vec<O>
-    where
-        C: Send,
-        O: Send,
-        F: Fn(usize, &C) -> O + Sync,
-    {
-        let mut slots: Vec<Option<O>> = (0..cells.len()).map(|_| None).collect();
-        self.run_with(cells, run_cell, |index, outcome| {
-            slots[index] = Some(outcome);
+        let mut quarantined = None;
+        std::thread::scope(|scope| {
+            let _stop = StopOnDrop(&core);
+            for _ in 0..self.workers {
+                scope.spawn(|| core.worker_loop());
+            }
+            for res in res_rx.iter() {
+                match res {
+                    CellResult::Done(outcome) => on_complete(outcome),
+                    CellResult::Quarantined { reason, .. } => {
+                        quarantined.get_or_insert(reason);
+                    }
+                }
+            }
         });
-        slots
-            .into_iter()
-            .map(|s| s.expect("every cell completes"))
-            .collect()
+        if let Some(reason) = quarantined {
+            panic!("{reason}");
+        }
     }
-}
-
-/// Pops the next chain for worker `me`: front of its own shard, else a
-/// steal from the back of the fullest other shard. All chains are
-/// enqueued before the workers start, so empty-everywhere means the pool
-/// is done.
-fn next_chain<S, C>(
-    shards: &[Mutex<VecDeque<CellChain<S, C>>>],
-    me: usize,
-) -> Option<CellChain<S, C>> {
-    if let Some(chain) = shards[me].lock().expect("shard poisoned").pop_front() {
-        return Some(chain);
-    }
-    let victim = (0..shards.len())
-        .filter(|&s| s != me)
-        .max_by_key(|&s| shards[s].lock().expect("shard poisoned").len())?;
-    shards[victim].lock().expect("shard poisoned").pop_back()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
-    #[test]
-    fn outcomes_return_in_cell_order() {
-        let sched = CampaignScheduler::new(4);
-        let cells: Vec<usize> = (0..23).collect();
-        let out = sched.run(cells, |i, c| (i, c * 10));
-        for (i, (idx, v)) in out.iter().enumerate() {
-            assert_eq!(*idx, i);
-            assert_eq!(*v, i * 10);
-        }
+    /// Builds one chain per cell list, each with unit state.
+    fn unit_chains<C>(lists: Vec<Vec<C>>) -> Vec<CellChain<(), C>> {
+        lists
+            .into_iter()
+            .map(|cells| CellChain { state: (), cells })
+            .collect()
     }
 
     #[test]
     fn on_complete_owns_every_cell_once() {
-        let sched = CampaignScheduler::new(3);
         let mut seen = vec![0usize; 10];
-        sched.run_with(
-            (0..10).collect::<Vec<usize>>(),
-            |_, c| c.to_string(),
-            |i, s: String| {
-                assert_eq!(s, i.to_string());
-                seen[i] += 1;
-            },
+        CampaignScheduler::new(3).run_chains(
+            unit_chains((0..10usize).map(|c| vec![c]).collect()),
+            |&c, ()| c.to_string(),
+            |(), _, _| {},
+            |s: String| seen[s.parse::<usize>().unwrap()] += 1,
         );
         assert!(seen.iter().all(|&n| n == 1), "{seen:?}");
     }
 
     #[test]
-    fn stealing_spreads_unbalanced_work() {
-        // Cell 0 is long; with round-robin sharding it lands on worker 0
-        // whose shard also holds cells 4 and 8 — the other workers must
-        // steal them for the pool to finish promptly.
-        let ids = Mutex::new(std::collections::HashSet::new());
-        let sched = CampaignScheduler::new(4);
-        sched.run(
-            (0..12).collect::<Vec<usize>>(),
-            |_, &c| {
-                if c == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(40));
-                }
-                ids.lock().unwrap().insert(std::thread::current().id());
-                c
-            },
-        );
-        assert!(
-            ids.lock().unwrap().len() >= 2,
-            "work never spread beyond one worker"
-        );
-    }
-
-    #[test]
-    fn single_worker_drains_everything() {
-        let sched = CampaignScheduler::new(1);
-        let out = sched.run((0..7).collect::<Vec<usize>>(), |_, &c| c + 1);
-        assert_eq!(out, vec![1, 2, 3, 4, 5, 6, 7]);
-    }
-
-    #[test]
     fn empty_campaign_is_a_no_op() {
-        let sched = CampaignScheduler::new(2);
-        let out: Vec<usize> = sched.run(Vec::<usize>::new(), |_, &c| c);
-        assert!(out.is_empty());
+        let mut done = Vec::new();
+        CampaignScheduler::new(2).run_chains(
+            unit_chains(Vec::<Vec<u32>>::new()),
+            |&c, ()| c,
+            |(), _, _| {},
+            |c| done.push(c),
+        );
+        assert!(done.is_empty());
+    }
+
+    #[test]
+    fn single_worker_delivers_chain_by_chain_in_list_order() {
+        // `--workers 1` export bytes follow this arrival order.
+        let mut done = Vec::new();
+        CampaignScheduler::new(1).run_chains(
+            unit_chains(vec![vec![10, 11, 12], vec![20, 21], vec![30]]),
+            |&c, ()| c,
+            |(), _, _| {},
+            |c| done.push(c),
+        );
+        assert_eq!(done, vec![10, 11, 12, 20, 21, 30]);
+    }
+
+    #[test]
+    fn panicking_cell_lets_sibling_chains_finish_then_panics() {
+        for workers in [1, 2] {
+            let mut done = Vec::new();
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                CampaignScheduler::new(workers).run_chains(
+                    unit_chains(vec![vec![1, 13, 2, 3], vec![20, 21, 22]]),
+                    |&c: &u32, ()| {
+                        assert!(c != 13, "cell 13 is poisoned");
+                        c
+                    },
+                    |(), _, _| {},
+                    |c| done.push(c),
+                );
+            }));
+            let payload = caught.expect_err("a cell panic must propagate");
+            let reason = payload.downcast_ref::<String>().expect("string payload");
+            assert!(reason.contains("cell 13 is poisoned"), "{reason}");
+            // The poisoned chain stops at its panic; its sibling delivers
+            // every outcome before the panic propagates.
+            done.sort_unstable();
+            assert_eq!(done, vec![1, 20, 21, 22], "workers={workers}");
+        }
     }
 
     /// Runs two synthetic chains and returns each completed cell's id
@@ -347,46 +294,5 @@ mod tests {
         );
         done.sort_unstable();
         assert_eq!(done, vec![0, 1, 10, 11]);
-    }
-
-    #[test]
-    fn chain_stealing_moves_whole_chains() {
-        // Three chains, two workers: worker 0's shard holds chains 0 and
-        // 2; while chain 0 blocks, worker 1 must steal chain 2 — but the
-        // cells of each chain still run in order.
-        let ids = Mutex::new(std::collections::HashMap::new());
-        let sched = CampaignScheduler::new(2);
-        let chains: Vec<CellChain<u32, u32>> = (0..3)
-            .map(|k| CellChain {
-                state: 0,
-                cells: vec![k * 10, k * 10 + 1],
-            })
-            .collect();
-        let mut order = Vec::new();
-        sched.run_chains(
-            chains,
-            |&c, &prev| {
-                if c == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(30));
-                }
-                ids.lock()
-                    .unwrap()
-                    .entry(c / 10)
-                    .or_insert_with(Vec::new)
-                    .push(std::thread::current().id());
-                (c, prev)
-            },
-            |state, _, &(c, _)| *state = c,
-            |(c, prev)| order.push((c, prev)),
-        );
-        // Each chain's second cell saw its first cell's update.
-        for k in [0u32, 1, 2] {
-            assert!(order.contains(&(k * 10, 0)));
-            assert!(order.contains(&(k * 10 + 1, k * 10)));
-        }
-        // Both cells of any one chain ran on the same worker.
-        for (chain, workers) in ids.lock().unwrap().iter() {
-            assert_eq!(workers[0], workers[1], "chain {chain} split across workers");
-        }
     }
 }

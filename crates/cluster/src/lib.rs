@@ -20,10 +20,12 @@
 //! - [`manager`] — the node-manager worker.
 //! - [`parallel`] — the parallel session driver pumping any
 //!   [`Explore`](afex_core::Explore) strategy through a manager pool.
-//! - [`campaign`] — the sharded scheduler fanning a campaign's matrix of
-//!   cells (whole sessions) across the pool with work stealing.
-//! - [`multiplex`] — the long-running pool multiplexing many campaigns'
-//!   chains with round-robin fairness, for the campaign service.
+//! - [`campaign`] — the batch scheduler fanning one campaign's matrix of
+//!   cells (whole sessions) across scoped workers.
+//! - [`multiplex`] — the pool core behind both: the long-running pool
+//!   multiplexing many campaigns' chains with round-robin fairness, for
+//!   the campaign service, and the one scheduling loop the batch
+//!   scheduler reuses.
 
 pub mod campaign;
 pub mod manager;

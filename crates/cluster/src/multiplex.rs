@@ -1,22 +1,23 @@
-//! A long-running pool multiplexing many campaigns' chains.
+//! The pool that schedules every campaign cell, batch or served.
 //!
-//! [`CampaignScheduler`](crate::CampaignScheduler) is batch-shaped: it
-//! takes one campaign's chains, drains them, and returns. A campaign
-//! *service* needs the opposite lifecycle — one worker pool that
-//! outlives any campaign, accepts new chain sets while old ones are
-//! still running, and shares the workers fairly among them. That is
-//! [`MultiplexPool`]: submissions are **streams** (one per campaign),
-//! each a set of [`CellChain`]s, and the pool picks runnable cells
-//! round-robin *across streams* at cell granularity, so a freshly
-//! submitted small campaign starts making progress immediately instead
-//! of queueing behind a week-long one.
+//! A campaign *service* needs one worker pool that outlives any
+//! campaign, accepts new chain sets while old ones are still running,
+//! and shares the workers fairly among them. That is [`MultiplexPool`]:
+//! submissions are **streams** (one per campaign), each a set of
+//! [`CellChain`]s, and the pool picks runnable cells round-robin *across
+//! streams* at cell granularity, so a freshly submitted small campaign
+//! starts making progress immediately instead of queueing behind a
+//! week-long one. A batch campaign is the one-stream case:
+//! [`CampaignScheduler`](crate::CampaignScheduler) runs the same
+//! scheduling core on scoped workers, submits its chains as a single
+//! stream, and stops the pool once that stream is exhausted.
 //!
-//! The determinism contract is unchanged from the batch scheduler: a
-//! chain's cells run serialized in order, each seeing state folded from
-//! its predecessors, and state never crosses chains — so every outcome
-//! is a pure function of its chain's initial state and cell order, no
-//! matter how streams interleave on the wall clock or how wide the pool
-//! is. Fairness decides *when* a cell runs, never *what it computes*.
+//! Determinism contract: a chain's cells run serialized in order, each
+//! seeing state folded from its predecessors, and state never crosses
+//! chains — so every outcome is a pure function of its chain's initial
+//! state and cell order, no matter how streams interleave on the wall
+//! clock or how wide the pool is. Fairness decides *when* a cell runs,
+//! never *what it computes*.
 //!
 //! Completion callbacks are per-stream and run with **no pool lock
 //! held** (each stream's callback serializes on its own mutex), so a
@@ -44,7 +45,7 @@ use crate::campaign::CellChain;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound::{Excluded, Unbounded};
 use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Identifies one submitted stream (campaign) within a pool.
 pub type StreamId = u64;
@@ -68,9 +69,10 @@ pub enum CellResult<C, O> {
     },
 }
 
-type RunFn<S, C, O> = dyn Fn(&C, &S) -> O + Send + Sync;
-type UpdateFn<S, C, O> = dyn Fn(&mut S, &C, &O) + Send + Sync;
-type CompleteFn<C, O> = dyn FnMut(CellResult<C, O>) + Send;
+type RunFn<'a, S, C, O> = dyn Fn(&C, &S) -> O + Send + Sync + 'a;
+type UpdateFn<'a, S, C, O> = dyn Fn(&mut S, &C, &O) + Send + Sync + 'a;
+type CompleteFn<'a, C, O> = dyn FnMut(CellResult<C, O>) + Send + 'a;
+type Callback<'a, C, O> = Arc<Mutex<Box<CompleteFn<'a, C, O>>>>;
 
 /// One chain of a stream: its threaded state (absent while a cell of
 /// the chain is in flight on a worker) and the cells still to run. A
@@ -82,17 +84,24 @@ struct ChainSlot<S, C> {
     dead: bool,
 }
 
+impl<S, C> ChainSlot<S, C> {
+    /// Whether a worker may pick this chain's next cell.
+    fn runnable(&self) -> bool {
+        !self.dead && self.state.is_some() && !self.cells.is_empty()
+    }
+}
+
 /// One submitted campaign: its chains plus the per-stream completion
 /// callback. The callback lives behind its own mutex so workers invoke
 /// it after releasing the pool lock — completions of one stream
 /// serialize (they typically checkpoint one snapshot), but never block
 /// the pool or other streams' callbacks.
-struct Stream<S, C, O> {
+struct Stream<'a, S, C, O> {
     chains: Vec<ChainSlot<S, C>>,
-    on_complete: Arc<Mutex<Box<CompleteFn<C, O>>>>,
+    on_complete: Callback<'a, C, O>,
 }
 
-impl<S, C, O> Stream<S, C, O> {
+impl<S, C, O> Stream<'_, S, C, O> {
     /// Whether nothing of this stream remains: every chain is either
     /// quarantined or has no queued cells and no state checked out to a
     /// worker.
@@ -103,8 +112,8 @@ impl<S, C, O> Stream<S, C, O> {
     }
 }
 
-struct PoolState<S, C, O> {
-    streams: BTreeMap<StreamId, Stream<S, C, O>>,
+struct PoolState<'a, S, C, O> {
+    streams: BTreeMap<StreamId, Stream<'a, S, C, O>>,
     /// The last stream a cell was picked from; the next pick scans
     /// strictly after it (wrapping), which is the round-robin.
     cursor: StreamId,
@@ -113,20 +122,160 @@ struct PoolState<S, C, O> {
     stopping: bool,
 }
 
-struct Inner<S, C, O> {
-    run_cell: Box<RunFn<S, C, O>>,
-    update: Box<UpdateFn<S, C, O>>,
-    state: Mutex<PoolState<S, C, O>>,
+/// The scheduling core: the streams, the shared cell runner and state
+/// fold, and the worker loop. [`MultiplexPool`] drives it from detached
+/// threads for the lifetime of a service; the batch
+/// [`CampaignScheduler`](crate::CampaignScheduler) drives it from scoped
+/// threads, which is why the boxed closures carry a lifetime `'a`
+/// instead of `'static`.
+pub(crate) struct PoolCore<'a, S, C, O> {
+    run_cell: Box<RunFn<'a, S, C, O>>,
+    update: Box<UpdateFn<'a, S, C, O>>,
+    state: Mutex<PoolState<'a, S, C, O>>,
     work_cv: Condvar,
     idle_cv: Condvar,
+}
+
+impl<'a, S, C, O> PoolCore<'a, S, C, O> {
+    pub(crate) fn new(
+        run_cell: Box<RunFn<'a, S, C, O>>,
+        update: Box<UpdateFn<'a, S, C, O>>,
+    ) -> Self {
+        PoolCore {
+            run_cell,
+            update,
+            state: Mutex::new(PoolState {
+                streams: BTreeMap::new(),
+                cursor: 0,
+                next_id: 1,
+                in_flight: 0,
+                stopping: false,
+            }),
+            work_cv: Condvar::new(),
+            idle_cv: Condvar::new(),
+        }
+    }
+
+    /// Adds one stream. An exhausted (empty) stream is dropped at once,
+    /// callback and all.
+    pub(crate) fn submit(
+        &self,
+        chains: Vec<CellChain<S, C>>,
+        on_complete: Box<CompleteFn<'a, C, O>>,
+    ) -> StreamId {
+        let mut st = self.state.lock().expect("pool poisoned");
+        let id = st.next_id;
+        st.next_id += 1;
+        let stream = Stream {
+            chains: chains
+                .into_iter()
+                .map(|chain| ChainSlot {
+                    state: Some(chain.state),
+                    cells: chain.cells.into(),
+                    dead: false,
+                })
+                .collect(),
+            on_complete: Arc::new(Mutex::new(on_complete)),
+        };
+        if !stream.exhausted() {
+            st.streams.insert(id, stream);
+            self.work_cv.notify_all();
+        }
+        id
+    }
+
+    /// Stops picking new cells; workers return once their in-flight
+    /// cell has landed. Tolerates a poisoned lock, since `Drop` calls it.
+    pub(crate) fn stop(&self) {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).stopping = true;
+        self.work_cv.notify_all();
+    }
+
+    /// Runs cells until the pool stops.
+    pub(crate) fn worker_loop(&self) {
+        let mut st = self.state.lock().expect("pool poisoned");
+        loop {
+            if st.stopping {
+                return;
+            }
+            let Some((stream_id, chain_idx, mut state, cell, callback)) = pick(&mut st) else {
+                st = self.work_cv.wait(st).expect("pool poisoned");
+                continue;
+            };
+            drop(st);
+
+            // The cell run and the state fold are both caller code —
+            // either can panic, and either panic leaves the chain's
+            // threaded state unusable. Catch the unwind so one poisoned
+            // cell quarantines its chain instead of killing the worker
+            // (and, at join, the whole pool).
+            let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let outcome = (self.run_cell)(&cell, &state);
+                (self.update)(&mut state, &cell, &outcome);
+                outcome
+            }));
+            let result = match run {
+                // The chain's state goes home only after the callback
+                // below, so the chain's next cell cannot start (let
+                // alone complete) until this cell's callback has
+                // finished — a stream observes its chain's outcomes
+                // strictly in cell order, which is what lets a service
+                // checkpoint after every callback and still resume
+                // cleanly.
+                Ok(outcome) => CellResult::Done(outcome),
+                Err(payload) => {
+                    // Quarantine the chain: mark it dead and drop its
+                    // queued cells under the lock. The half-updated
+                    // state is discarded — it must never thread into
+                    // another cell.
+                    let mut st = self.state.lock().expect("pool poisoned");
+                    let abandoned = st.streams.get_mut(&stream_id).map_or(0, |stream| {
+                        let slot = &mut stream.chains[chain_idx];
+                        slot.dead = true;
+                        std::mem::take(&mut slot.cells).len()
+                    });
+                    CellResult::Quarantined {
+                        cell,
+                        reason: panic_reason(payload.as_ref()),
+                        abandoned,
+                    }
+                }
+            };
+            let done = matches!(result, CellResult::Done(_));
+            // No pool lock is held here; one stream's results serialize
+            // on the callback's own mutex.
+            (callback.lock().expect("callback poisoned"))(result);
+
+            st = self.state.lock().expect("pool poisoned");
+            if let Some(stream) = st.streams.get_mut(&stream_id) {
+                if done {
+                    stream.chains[chain_idx].state = Some(state);
+                }
+                // More than one chain of the stream can be in flight;
+                // only the worker returning the *last* checked-out state
+                // can observe exhaustion.
+                if stream.exhausted() {
+                    st.streams.remove(&stream_id);
+                }
+            }
+            // `in_flight` is only decremented after the callback has
+            // run, so `wait_idle` returning means every delivered result
+            // — Done or Quarantined — has been fully processed by its
+            // owner.
+            st.in_flight -= 1;
+            // A returned state can make the chain's next cell runnable,
+            // and an exhausted pool must wake `wait_idle`.
+            self.work_cv.notify_all();
+            self.idle_cv.notify_all();
+        }
+    }
 }
 
 /// A persistent worker pool multiplexing many streams of cell chains —
 /// the execution substrate of the campaign service. See the module docs
 /// for the scheduling and determinism contract.
 pub struct MultiplexPool<S, C, O> {
-    inner: Arc<Inner<S, C, O>>,
-    workers: usize,
+    inner: Arc<PoolCore<'static, S, C, O>>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -139,9 +288,8 @@ where
     /// Starts a pool of `workers` threads. `run_cell(cell, &state)`
     /// executes one cell; `update(&mut state, &cell, &outcome)` folds
     /// the outcome into the chain state before the chain's next cell —
-    /// both shared by every stream, exactly like the batch scheduler's
-    /// per-call arguments (the service runs identical cells for every
-    /// campaign; what differs per campaign is the chains and the
+    /// both shared by every stream (the service runs identical cells for
+    /// every campaign; what differs per campaign is the chains and the
     /// completion callback).
     ///
     /// # Panics
@@ -153,35 +301,17 @@ where
         U: Fn(&mut S, &C, &O) + Send + Sync + 'static,
     {
         assert!(workers > 0, "need at least one pool worker");
-        let inner = Arc::new(Inner {
-            run_cell: Box::new(run_cell),
-            update: Box::new(update),
-            state: Mutex::new(PoolState {
-                streams: BTreeMap::new(),
-                cursor: 0,
-                next_id: 1,
-                in_flight: 0,
-                stopping: false,
-            }),
-            work_cv: Condvar::new(),
-            idle_cv: Condvar::new(),
-        });
+        let inner = Arc::new(PoolCore::new(Box::new(run_cell), Box::new(update)));
         let handles = (0..workers)
             .map(|_| {
                 let inner = Arc::clone(&inner);
-                std::thread::spawn(move || worker_loop(&inner))
+                std::thread::spawn(move || inner.worker_loop())
             })
             .collect();
         MultiplexPool {
             inner,
-            workers,
             handles: Mutex::new(handles),
         }
-    }
-
-    /// Number of pool workers.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Submits one stream (campaign): its chains, plus the callback that
@@ -198,25 +328,7 @@ where
     where
         G: FnMut(CellResult<C, O>) + Send + 'static,
     {
-        let mut st = self.inner.state.lock().expect("pool poisoned");
-        let id = st.next_id;
-        st.next_id += 1;
-        let stream = Stream {
-            chains: chains
-                .into_iter()
-                .map(|chain| ChainSlot {
-                    state: Some(chain.state),
-                    cells: chain.cells.into(),
-                    dead: false,
-                })
-                .collect(),
-            on_complete: Arc::new(Mutex::new(Box::new(on_complete))),
-        };
-        if !stream.exhausted() {
-            st.streams.insert(id, stream);
-            self.inner.work_cv.notify_all();
-        }
-        id
+        self.inner.submit(chains, Box::new(on_complete))
     }
 
     /// Number of streams with work still queued or in flight.
@@ -251,18 +363,8 @@ where
     /// stream's *callback*, which is an owner bug the pool must not
     /// swallow.
     pub fn drain(&self) {
-        {
-            let mut st = self.inner.state.lock().expect("pool poisoned");
-            st.stopping = true;
-            self.inner.work_cv.notify_all();
-        }
-        let handles: Vec<_> = self
-            .handles
-            .lock()
-            .expect("pool poisoned")
-            .drain(..)
-            .collect();
-        for handle in handles {
+        self.inner.stop();
+        for handle in self.take_handles() {
             if let Err(e) = handle.join() {
                 std::panic::resume_unwind(e);
             }
@@ -270,21 +372,20 @@ where
     }
 }
 
+impl<S, C, O> MultiplexPool<S, C, O> {
+    fn take_handles(&self) -> Vec<std::thread::JoinHandle<()>> {
+        self.handles
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .drain(..)
+            .collect()
+    }
+}
+
 impl<S, C, O> Drop for MultiplexPool<S, C, O> {
     fn drop(&mut self) {
-        {
-            let mut st = match self.inner.state.lock() {
-                Ok(st) => st,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            st.stopping = true;
-            self.inner.work_cv.notify_all();
-        }
-        let handles: Vec<_> = match self.handles.lock() {
-            Ok(mut h) => h.drain(..).collect(),
-            Err(poisoned) => poisoned.into_inner().drain(..).collect(),
-        };
-        for handle in handles {
+        self.inner.stop();
+        for handle in self.take_handles() {
             // A worker that panicked already poisoned the pool; don't
             // double-panic out of Drop.
             let _ = handle.join();
@@ -297,27 +398,24 @@ impl<S, C, O> Drop for MultiplexPool<S, C, O> {
 /// stream the first chain with its state home and cells queued wins —
 /// fairness matters *between* campaigns; a campaign's own chains
 /// already fan out as far as their serialization allows.
-type Picked<S, C, O> = (StreamId, usize, S, C, Arc<Mutex<Box<CompleteFn<C, O>>>>);
+type Picked<'a, S, C, O> = (StreamId, usize, S, C, Callback<'a, C, O>);
 
-fn pick<S, C, O>(st: &mut PoolState<S, C, O>) -> Option<Picked<S, C, O>> {
+fn pick<'a, S, C, O>(st: &mut PoolState<'a, S, C, O>) -> Option<Picked<'a, S, C, O>> {
     let cursor = st.cursor;
     let after = st
         .streams
         .range((Excluded(cursor), Unbounded))
         .map(|(id, _)| *id);
     let wrapped = st.streams.range(..=cursor).map(|(id, _)| *id);
-    let candidate = after.chain(wrapped).find(|id| {
-        st.streams[id]
-            .chains
-            .iter()
-            .any(|c| !c.dead && c.state.is_some() && !c.cells.is_empty())
-    })?;
+    let candidate = after
+        .chain(wrapped)
+        .find(|id| st.streams[id].chains.iter().any(ChainSlot::runnable))?;
     let stream = st.streams.get_mut(&candidate).expect("candidate exists");
     let (chain_idx, slot) = stream
         .chains
         .iter_mut()
         .enumerate()
-        .find(|(_, c)| !c.dead && c.state.is_some() && !c.cells.is_empty())
+        .find(|(_, c)| c.runnable())
         .expect("candidate had a runnable chain");
     let state = slot.state.take().expect("checked runnable");
     let cell = slot.cells.pop_front().expect("checked non-empty");
@@ -336,95 +434,6 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_owned()
-    }
-}
-
-fn worker_loop<S, C, O>(inner: &Inner<S, C, O>) {
-    let mut st = inner.state.lock().expect("pool poisoned");
-    loop {
-        if st.stopping {
-            return;
-        }
-        let Some((stream_id, chain_idx, mut state, cell, callback)) = pick(&mut st) else {
-            st = inner.work_cv.wait(st).expect("pool poisoned");
-            continue;
-        };
-        drop(st);
-
-        // The cell run and the state fold are both caller code — either
-        // can panic, and either panic leaves the chain's threaded state
-        // unusable. Catch the unwind so one poisoned cell quarantines
-        // its chain instead of killing the worker (and, at join, the
-        // whole pool).
-        let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let outcome = (inner.run_cell)(&cell, &state);
-            (inner.update)(&mut state, &cell, &outcome);
-            outcome
-        }));
-        match run {
-            Ok(outcome) => {
-                // The stream's callback runs with no pool lock held; one
-                // stream's completions serialize on the callback's own
-                // mutex. It runs *before* the state goes home, so the
-                // chain's next cell cannot start (let alone complete)
-                // until this cell's callback has finished — a stream
-                // observes its chain's outcomes strictly in cell order,
-                // which is what lets a service checkpoint after every
-                // callback and still resume cleanly.
-                (callback.lock().expect("callback poisoned"))(CellResult::Done(outcome));
-
-                st = inner.state.lock().expect("pool poisoned");
-                if let Some(stream) = st.streams.get_mut(&stream_id) {
-                    stream.chains[chain_idx].state = Some(state);
-                    // More than one chain of the stream can be in
-                    // flight; only the owning worker returning the
-                    // *last* checked-out state can observe exhaustion.
-                    if stream.exhausted() {
-                        st.streams.remove(&stream_id);
-                    }
-                }
-            }
-            Err(payload) => {
-                // Quarantine the chain: mark it dead and drop its
-                // queued cells under the lock, then notify the stream
-                // with no lock held. The half-updated state is
-                // discarded — it must never thread into another cell.
-                drop(state);
-                let abandoned = {
-                    let mut st = inner.state.lock().expect("pool poisoned");
-                    match st.streams.get_mut(&stream_id) {
-                        Some(stream) => {
-                            let slot = &mut stream.chains[chain_idx];
-                            slot.dead = true;
-                            let n = slot.cells.len();
-                            slot.cells.clear();
-                            n
-                        }
-                        None => 0,
-                    }
-                };
-                (callback.lock().expect("callback poisoned"))(CellResult::Quarantined {
-                    cell,
-                    reason: panic_reason(payload.as_ref()),
-                    abandoned,
-                });
-
-                st = inner.state.lock().expect("pool poisoned");
-                if let Some(stream) = st.streams.get_mut(&stream_id) {
-                    if stream.exhausted() {
-                        st.streams.remove(&stream_id);
-                    }
-                }
-            }
-        }
-        // `in_flight` is only decremented after the callback has run,
-        // so `wait_idle` returning means every delivered result — Done
-        // or Quarantined — has been fully processed by its owner.
-        st.in_flight -= 1;
-        // A returned state can make the chain's next cell runnable, and
-        // an exhausted pool must wake `wait_idle`.
-        inner.work_cv.notify_all();
-        inner.idle_cv.notify_all();
     }
 }
 

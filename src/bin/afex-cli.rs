@@ -45,7 +45,7 @@
 
 use afex::campaign::{
     build_spec, known_target, load_resume_snapshot, run_campaign, run_hunt, CorpusReader, HuntSpec,
-    SpecOptions, RESUME_LOCKED_FLAGS,
+    ResolvedTarget, SpecOptions, RESUME_LOCKED_FLAGS,
 };
 use afex::core::campaign::{CampaignSnapshot, CampaignSpec};
 use afex::core::{
@@ -55,7 +55,6 @@ use afex::core::{
 use afex::protocol::{self, Request, Response};
 use afex::service::{CampaignRow, CampaignService};
 use afex::space::Point;
-use afex::targets::spaces::TargetSpace;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -115,32 +114,30 @@ fn parse_args(args: &[String]) -> HashMap<String, String> {
     out
 }
 
-/// Resolves a *simulated* target for the commands that need one
-/// (`describe`, `render`, `explore`): a proc target gets an instructive
-/// exit 2 pointing at the commands that can actually run a live binary,
-/// instead of the generic unknown-target message.
-fn target_space(name: &str) -> TargetSpace {
-    afex::campaign::target_space(name).unwrap_or_else(|| {
-        if afex::campaign::is_proc_target(name) {
-            eprintln!(
-                "`{name}` is a real-process target: it has no simulated plan to describe or \
-                 replay, only a live binary to run. Use `hunt --target {name}` or \
-                 `campaign --targets {name}`."
-            );
-            std::process::exit(2);
+/// Resolves a target for the commands that inspect or replay its fault
+/// space (`describe`, `render`, `explore`): an unknown name gets the
+/// usage text, and a `proc:*` target whose artifacts are missing gets
+/// the same exit 2 as one whose artifacts resolve ([`live_binary_only`]).
+fn resolve_target(name: &str) -> ResolvedTarget {
+    match ResolvedTarget::resolve(name) {
+        Ok(target) => target,
+        Err(_) if afex::campaign::is_proc_target(name) => live_binary_only(name),
+        Err(e) => {
+            eprintln!("{e}");
+            usage()
         }
-        if afex::campaign::is_vfs_target(name) {
-            eprintln!(
-                "`{name}` is a crash-recovery target: each test is a whole \
-                 workload + crash + reopen cycle through the durability oracle, not a \
-                 single-test fault plan. Use `hunt --target {name}`, \
-                 `campaign --targets {name}`, or `describe`/`render` for its fault space."
-            );
-            std::process::exit(2);
-        }
-        eprintln!("unknown target `{name}`");
-        usage()
-    })
+    }
+}
+
+/// Exits 2 for a real-process target in a command that needs a
+/// simulated plan, pointing at the commands that can run a live binary.
+fn live_binary_only(name: &str) -> ! {
+    eprintln!(
+        "`{name}` is a real-process target: it has no simulated plan to describe or \
+         replay, only a live binary to run. Use `hunt --target {name}` or \
+         `campaign --targets {name}`."
+    );
+    std::process::exit(2);
 }
 
 /// Parses `--timeout` (the per-test watchdog budget for real-process
@@ -168,22 +165,23 @@ fn cmd_describe(opts: &HashMap<String, String>) {
         .get("target")
         .map(String::as_str)
         .unwrap_or_else(|| usage());
-    if let Some(rs) = afex::campaign::vfs_target_space(name) {
-        println!("target: {}", rs.name());
-        println!("workloads: {}", afex::targets::recovery::NUM_WORKLOADS);
-        println!("oracle: workload under one fault rule -> crash -> fault-free reopen");
-        println!("fault space: {} points", rs.space().len());
-        for (i, axis) in rs.space().axes().iter().enumerate() {
-            println!("  axis {i}: {} ({} values)", axis.name(), axis.len());
+    let target = resolve_target(name);
+    match &target {
+        ResolvedTarget::Simulated(ts) => {
+            println!("target: {}", ts.target().name());
+            println!("tests in suite: {}", ts.target().num_tests());
+            println!("declared blocks: {}", ts.target().total_blocks());
         }
-        return;
+        ResolvedTarget::Recovery(rs) => {
+            println!("target: {}", rs.name());
+            println!("workloads: {}", afex::targets::recovery::NUM_WORKLOADS);
+            println!("oracle: workload under one fault rule -> crash -> fault-free reopen");
+        }
+        ResolvedTarget::Process(_) => live_binary_only(name),
     }
-    let ts = target_space(name);
-    println!("target: {}", ts.target().name());
-    println!("tests in suite: {}", ts.target().num_tests());
-    println!("declared blocks: {}", ts.target().total_blocks());
-    println!("fault space: {} points", ts.space().len());
-    for (i, axis) in ts.space().axes().iter().enumerate() {
+    let space = target.space_arc();
+    println!("fault space: {} points", space.len());
+    for (i, axis) in space.axes().iter().enumerate() {
         println!("  axis {i}: {} ({} values)", axis.name(), axis.len());
     }
 }
@@ -203,37 +201,29 @@ fn cmd_render(opts: &HashMap<String, String>) {
         std::process::exit(2);
     };
     let p = Point::new(attrs);
-    if let Some(rs) = afex::campaign::vfs_target_space(name) {
-        match rs.space().check(&p) {
-            Ok(()) => {
-                let (test, rule) = rs.rule_for(&p);
-                println!("workload: {test}");
-                match rule {
-                    Some(r) => println!("rule:     {r}"),
-                    None => println!("rule:     none (bare workload)"),
-                }
-                println!("fig5:     {}", rs.space().render(&p));
-            }
-            Err(e) => {
-                eprintln!("point does not address the space: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    let ts = target_space(name);
-    match ts.space().check(&p) {
-        Ok(()) => {
-            let (test, plan) = ts.plan_for(&p);
-            println!("test id:  {test}");
-            println!("scenario: {plan}");
-            println!("fig5:     {}", ts.space().render(&p));
-        }
-        Err(e) => {
+    let target = resolve_target(name);
+    let space = target.space_arc();
+    match (&target, space.check(&p)) {
+        (ResolvedTarget::Process(_), _) => live_binary_only(name),
+        (_, Err(e)) => {
             eprintln!("point does not address the space: {e}");
             std::process::exit(1);
         }
+        (ResolvedTarget::Simulated(ts), Ok(())) => {
+            let (test, plan) = ts.plan_for(&p);
+            println!("test id:  {test}");
+            println!("scenario: {plan}");
+        }
+        (ResolvedTarget::Recovery(rs), Ok(())) => {
+            let (test, rule) = rs.rule_for(&p);
+            println!("workload: {test}");
+            match rule {
+                Some(r) => println!("rule:     {r}"),
+                None => println!("rule:     none (bare workload)"),
+            }
+        }
     }
+    println!("fig5:     {}", space.render(&p));
 }
 
 fn cmd_explore(opts: &HashMap<String, String>) {
@@ -241,7 +231,19 @@ fn cmd_explore(opts: &HashMap<String, String>) {
         .get("target")
         .map(String::as_str)
         .unwrap_or_else(|| usage());
-    let ts = target_space(name);
+    let ts = match resolve_target(name) {
+        ResolvedTarget::Simulated(ts) => ts,
+        ResolvedTarget::Recovery(_) => {
+            eprintln!(
+                "`{name}` is a crash-recovery target: each test is a whole \
+                 workload + crash + reopen cycle through the durability oracle, not a \
+                 single-test fault plan. Use `hunt --target {name}`, \
+                 `campaign --targets {name}`, or `describe`/`render` for its fault space."
+            );
+            std::process::exit(2);
+        }
+        ResolvedTarget::Process(_) => live_binary_only(name),
+    };
     let iterations: usize = opts
         .get("iterations")
         .map(|s| s.parse().unwrap_or_else(|_| usage()))
@@ -268,7 +270,7 @@ fn cmd_explore(opts: &HashMap<String, String>) {
             usage()
         }
     };
-    let exec = target_space(name);
+    let exec = ts.clone();
     let eval = OutcomeEvaluator::new(move |p| exec.execute(p), m);
     let result = Session::new(ts.space_arc(), strategy, seed)
         .run(&eval, StopCondition::Iterations(iterations));

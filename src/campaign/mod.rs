@@ -14,7 +14,8 @@
 //! daemon drive one shared code path.
 //!
 //! - [`mod@self`] — the target/strategy registry and per-cell execution
-//!   ([`run_cell`], the `run_*_windowed` dispatchers, [`chain_seeds`]).
+//!   ([`ResolvedTarget`], the one dispatch over the three target
+//!   families; [`run_cell`]; [`chain_seeds`]).
 //! - [`submit`] — building and validating campaign specs from untyped
 //!   options, and loading/validating resumable snapshots.
 //! - [`run`] — driving pending cells to completion with durable
@@ -27,7 +28,7 @@
 //! strategy, seed)` tuple, the spec's budget/stop policy/metric, and the
 //! outcomes of *earlier same-target cells* (whose deduped failure traces
 //! seed its redundancy feedback). Same-target cells therefore run
-//! serialized in cell order on one worker ([`CellChain`]), while cells
+//! serialized in cell order, one at a time ([`CellChain`]), while cells
 //! of different targets still fan out across the pool. Earlier cells are
 //! themselves deterministic, so [`run_pending`] produces the same final
 //! snapshot whether the campaign runs in one go, is interrupted and
@@ -57,13 +58,16 @@ use crate::core::{
     Engine, Explore, ImpactMetric, OutcomeEvaluator, ProcessEvaluator, ProcessExecutor,
     ProcessRunner, SearchStrategy, SessionResult, StopCondition, TraceStore,
 };
+use crate::inject::TestOutcome;
 use crate::preload::locate;
 use crate::targets::docstore::Version;
 use crate::targets::proc::{ProcTargetSpace, VictimMode};
 use crate::targets::recovery::{EngineKind, RecoverySpace};
 use crate::targets::spaces::TargetSpace;
-use afex_cluster::ParallelSession;
-use afex_space::PointCodec;
+use afex_cluster::{CellChain, ParallelSession};
+use afex_space::{FaultSpace, Point, PointCodec};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// The canonical campaign-runnable target names.
 pub const TARGETS: [&str; 5] = [
@@ -171,12 +175,10 @@ pub fn proc_target_space(name: &str) -> Result<ProcTargetSpace, String> {
 ///
 /// Returns the first proc target's resolution error.
 pub fn check_target_artifacts(targets: &[String]) -> Result<(), String> {
-    for target in targets {
-        if is_proc_target(target) {
-            proc_target_space(target).map(|_| ())?;
-        }
-    }
-    Ok(())
+    targets
+        .iter()
+        .filter(|t| is_proc_target(t))
+        .try_for_each(|t| ResolvedTarget::resolve(t).map(drop))
 }
 
 /// Canonicalizes a target list for a campaign spec: aliases collapse to
@@ -362,18 +364,7 @@ impl TraceSeeds {
 /// out-of-order outcomes are ignored, since a cell's predecessors could
 /// never have produced them.
 pub fn chain_seeds(snap: &CampaignSnapshot, target: &str) -> TraceSeeds {
-    chain_seeds_into(TraceSeeds::new(), snap, target)
-}
-
-/// [`chain_seeds`] over a pre-populated seed set: the campaign service
-/// starts each chain from the cross-campaign preseed (traces every prior
-/// campaign found on the target) and extends it with the snapshot's own
-/// completed prefix.
-pub fn chain_seeds_into(
-    mut seeds: TraceSeeds,
-    snap: &CampaignSnapshot,
-    target: &str,
-) -> TraceSeeds {
+    let mut seeds = TraceSeeds::new();
     for state in snap.cells.iter().filter(|s| s.cell.target == target) {
         match &state.outcome {
             Some(outcome) => seeds.absorb(outcome),
@@ -392,13 +383,7 @@ pub fn chain_seeds_into(
 /// snapshot; a target absent from the index has no completed prefix and
 /// seeds empty.
 pub fn chain_seeds_cached(snap: &CampaignSnapshot, target: &str) -> TraceSeeds {
-    TraceSeeds {
-        store: snap
-            .trace_index()
-            .store_for(target)
-            .cloned()
-            .unwrap_or_default(),
-    }
+    chain_seeds_cached_into(TraceSeeds::new(), snap, target)
 }
 
 /// [`chain_seeds_cached`] over a pre-populated seed set (the service's
@@ -420,10 +405,160 @@ pub fn chain_seeds_cached_into(
             store: donor.clone(),
         };
     }
-    for text in donor.texts() {
-        seeds.store.intern_from(donor, text);
-    }
+    seeds.seed_from(donor);
     seeds
+}
+
+/// Groups a snapshot's pending cells into one [`CellChain`] per target,
+/// in spec target order, each chain seeded with `preseed(target)`
+/// extended by the target's completed prefix
+/// ([`chain_seeds_cached_into`]). The persisted trace index is converged
+/// first (pure dedup on an intact snapshot, a one-time heal on pre-index
+/// ones), so every seed store is an entry copy out of the index — resume
+/// is O(load), never O(re-split). A snapshot with nothing pending yields
+/// no chains and is left untouched.
+pub(crate) fn pending_chains(
+    snap: &mut CampaignSnapshot,
+    preseed: impl Fn(&str) -> TraceSeeds,
+) -> Vec<CellChain<TraceSeeds, CampaignCell>> {
+    let pending = snap.pending();
+    if pending.is_empty() {
+        return Vec::new();
+    }
+    snap.ensure_trace_index();
+    snap.spec
+        .targets
+        .iter()
+        .filter_map(|target| {
+            let cells: Vec<CampaignCell> = pending
+                .iter()
+                .filter(|c| &c.target == target)
+                .cloned()
+                .collect();
+            (!cells.is_empty()).then(|| CellChain {
+                state: chain_seeds_cached_into(preseed(target), snap, target),
+                cells,
+            })
+        })
+        .collect()
+}
+
+/// A campaign-runnable target resolved to its fault space and its
+/// execution adapter: the one dispatch over the three target families
+/// behind campaign cells and `afex-cli hunt`.
+#[derive(Debug)]
+pub enum ResolvedTarget {
+    /// A simulated test suite, executed in-process.
+    Simulated(TargetSpace),
+    /// A `vfs:*` crash-recovery target: each candidate point is one full
+    /// workload + crash + fault-free reopen cycle through the recovery
+    /// oracle, in-process.
+    Recovery(RecoverySpace),
+    /// A `proc:*` live binary, executed through the sandboxed process
+    /// executor.
+    Process(ProcTargetSpace),
+}
+
+impl ResolvedTarget {
+    /// Resolves a target name (aliases included) to its family.
+    ///
+    /// # Errors
+    ///
+    /// Returns `unknown target` for a name outside the registry, or the
+    /// artifact-resolution message for a `proc:*` target whose victim
+    /// binary or shim cdylib is missing (how to build it, which
+    /// variable overrides the search).
+    pub fn resolve(name: &str) -> Result<Self, String> {
+        if is_proc_target(name) {
+            return proc_target_space(name).map(ResolvedTarget::Process);
+        }
+        vfs_target_space(name)
+            .map(ResolvedTarget::Recovery)
+            .or_else(|| target_space(name).map(ResolvedTarget::Simulated))
+            .ok_or_else(|| format!("unknown target `{name}`"))
+    }
+
+    /// The target's fault space, shared by reference count.
+    pub fn space_arc(&self) -> Arc<FaultSpace> {
+        match self {
+            ResolvedTarget::Simulated(ts) => ts.space_arc(),
+            ResolvedTarget::Recovery(rs) => rs.space_arc(),
+            ResolvedTarget::Process(ps) => ps.space_arc(),
+        }
+    }
+
+    /// The packed point codec of the target's fault space.
+    pub fn codec(&self) -> PointCodec {
+        PointCodec::for_space(&self.space_arc())
+            .expect("all campaign target spaces fit u64 point codes")
+    }
+
+    /// Runs a built explorer against the target under `stop` with a
+    /// `workers`-wide engine window. In-process families run
+    /// batch-parallel on a manager pool (one copy of the target and the
+    /// metric per manager) when `workers > 1`, the sequential engine
+    /// otherwise. Live binaries run through the sandboxed
+    /// [`ProcessExecutor`] with `workers` candidates in flight (each
+    /// spawning its own watched child) and `timeout` as the per-test
+    /// watchdog budget; if the executor dies — e.g. persistent spawn
+    /// failure after the runner's transient-error retries — the engine
+    /// returns the partial session gathered so far instead of
+    /// panicking. Deterministic in the window either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers == 0`.
+    pub fn run(
+        &self,
+        metric: ImpactMetric,
+        explorer: &mut dyn Explore,
+        stop: StopCondition,
+        workers: usize,
+        timeout: Duration,
+    ) -> SessionResult {
+        match self {
+            ResolvedTarget::Simulated(ts) => {
+                run_in_process(ts, TargetSpace::execute, metric, explorer, stop, workers)
+            }
+            ResolvedTarget::Recovery(rs) => {
+                run_in_process(rs, RecoverySpace::execute, metric, explorer, stop, workers)
+            }
+            ResolvedTarget::Process(ps) => {
+                assert!(workers > 0, "need at least one worker");
+                let plan_space = ps.clone();
+                let eval = ProcessEvaluator::new(
+                    move |p| plan_space.plan_for(p),
+                    ProcessRunner::new(timeout),
+                    metric,
+                );
+                Engine::new(workers).drive(explorer, stop, &mut ProcessExecutor::new(eval))
+            }
+        }
+    }
+}
+
+/// The in-process arm of [`ResolvedTarget::run`], generic over the
+/// target type: a manager pool with one clone of `target` per manager
+/// when `workers > 1`, the sequential engine otherwise.
+fn run_in_process<T: Clone + Sync + 'static>(
+    target: &T,
+    execute: fn(&T, &Point) -> TestOutcome,
+    metric: ImpactMetric,
+    explorer: &mut dyn Explore,
+    stop: StopCondition,
+    workers: usize,
+) -> SessionResult {
+    let evaluator = |target: T, metric| OutcomeEvaluator::new(move |p| execute(&target, p), metric);
+    if workers > 1 {
+        ParallelSession::new(workers).run_with_stop(
+            explorer,
+            |_manager| evaluator(target.clone(), metric.clone()),
+            stop,
+        )
+    } else {
+        assert!(workers > 0, "need at least one worker");
+        Engine::sequential().run(explorer, &evaluator(target.clone(), metric), stop)
+    }
 }
 
 /// Runs one cell to completion: one session over the cell's target with
@@ -454,7 +589,9 @@ pub fn chain_seeds_cached_into(
 /// # Panics
 ///
 /// Panics on an unknown target, strategy, or metric name — validate the
-/// spec with [`CampaignSpec::validate`] first.
+/// spec with [`CampaignSpec::validate`] first — and on a `proc:*` target
+/// whose artifacts are missing ([`check_target_artifacts`] runs before
+/// any cell).
 pub fn run_cell(cell: &CampaignCell, spec: &CampaignSpec, seeds: &TraceSeeds) -> CellOutcome {
     if cell.target == POISON_TARGET {
         panic!("poison target panicked mid-cell (AFEX_TEST_POISON)");
@@ -475,136 +612,10 @@ pub fn run_cell(cell: &CampaignCell, spec: &CampaignSpec, seeds: &TraceSeeds) ->
         other => other,
     };
     let stop = spec.stop.to_condition(spec.iterations);
-    if is_proc_target(&cell.target) {
-        // The CLI validates proc artifacts before any cell runs
-        // (`check_target_artifacts`), so resolution failure here is a
-        // caller bug, not a user error.
-        let ps = proc_target_space(&cell.target)
-            .expect("proc artifacts are checked before cells run");
-        let mut explorer = strategy.build(ps.space_arc(), cell.seed, seeds.store().clone());
-        let result = run_proc_windowed(
-            &ps,
-            m,
-            explorer.as_mut(),
-            stop,
-            spec.cell_workers.0,
-            spec.timeout.0,
-        );
-        let codec = PointCodec::for_space(ps.space())
-            .expect("all campaign target spaces fit u64 point codes");
-        return CellOutcome::from_session(cell.index, &result, &codec);
-    }
-    if let Some(rs) = vfs_target_space(&cell.target) {
-        let mut explorer = strategy.build(rs.space_arc(), cell.seed, seeds.store().clone());
-        let result = run_vfs_windowed(&rs, m, explorer.as_mut(), stop, spec.cell_workers.0);
-        let codec = PointCodec::for_space(rs.space())
-            .expect("all campaign target spaces fit u64 point codes");
-        return CellOutcome::from_session(cell.index, &result, &codec);
-    }
-    let ts = target_space(&cell.target).expect("validated target");
-    let mut explorer = strategy.build(ts.space_arc(), cell.seed, seeds.store().clone());
-    let result = run_windowed(&ts, m, explorer.as_mut(), stop, spec.cell_workers.0);
-    let codec = PointCodec::for_space(ts.space())
-        .expect("all campaign target spaces fit u64 point codes");
-    CellOutcome::from_session(cell.index, &result, &codec)
-}
-
-/// Runs a built explorer against a target under `stop` with a
-/// `workers`-wide engine window: batch-parallel on a manager pool (one
-/// copy of the target and the metric per manager) when `workers > 1`,
-/// the sequential engine otherwise. The one dispatch behind campaign
-/// cells and `afex-cli hunt` — deterministic in the window either way.
-///
-/// # Panics
-///
-/// Panics if `workers == 0`.
-pub fn run_windowed(
-    ts: &TargetSpace,
-    metric: ImpactMetric,
-    explorer: &mut dyn Explore,
-    stop: StopCondition,
-    workers: usize,
-) -> SessionResult {
-    if workers > 1 {
-        ParallelSession::new(workers).run_with_stop(
-            explorer,
-            |_manager| {
-                let exec = ts.clone();
-                let metric = metric.clone();
-                OutcomeEvaluator::new(move |p| exec.execute(p), metric)
-            },
-            stop,
-        )
-    } else {
-        assert!(workers > 0, "need at least one worker");
-        let exec = ts.clone();
-        let eval = OutcomeEvaluator::new(move |p| exec.execute(p), metric);
-        Engine::sequential().run(explorer, &eval, stop)
-    }
-}
-
-/// [`run_windowed`]'s crash-recovery sibling: runs a built explorer
-/// against a `vfs:*` target — each candidate point is one full
-/// workload + crash + fault-free reopen cycle through the recovery
-/// oracle. Same engine, same determinism contract.
-///
-/// # Panics
-///
-/// Panics if `workers == 0`.
-pub fn run_vfs_windowed(
-    rs: &RecoverySpace,
-    metric: ImpactMetric,
-    explorer: &mut dyn Explore,
-    stop: StopCondition,
-    workers: usize,
-) -> SessionResult {
-    if workers > 1 {
-        ParallelSession::new(workers).run_with_stop(
-            explorer,
-            |_manager| {
-                let exec = rs.clone();
-                let metric = metric.clone();
-                OutcomeEvaluator::new(move |p| exec.execute(p), metric)
-            },
-            stop,
-        )
-    } else {
-        assert!(workers > 0, "need at least one worker");
-        let exec = rs.clone();
-        let eval = OutcomeEvaluator::new(move |p| exec.execute(p), metric);
-        Engine::sequential().run(explorer, &eval, stop)
-    }
-}
-
-/// [`run_windowed`]'s real-process sibling: runs a built explorer
-/// against a live binary through the sandboxed [`ProcessExecutor`], with
-/// `workers` candidates in flight (each spawning its own watched child)
-/// and `timeout` as the per-test watchdog budget. If the executor dies —
-/// e.g. persistent spawn failure after the runner's transient-error
-/// retries — the engine returns the partial session gathered so far
-/// instead of panicking, the same graceful degradation contract the
-/// engine gives every executor.
-///
-/// # Panics
-///
-/// Panics if `workers == 0`.
-pub fn run_proc_windowed(
-    ps: &ProcTargetSpace,
-    metric: ImpactMetric,
-    explorer: &mut dyn Explore,
-    stop: StopCondition,
-    workers: usize,
-    timeout: std::time::Duration,
-) -> SessionResult {
-    assert!(workers > 0, "need at least one worker");
-    let plan_space = ps.clone();
-    let eval = ProcessEvaluator::new(
-        move |p| plan_space.plan_for(p),
-        ProcessRunner::new(timeout),
-        metric,
-    );
-    let mut exec = ProcessExecutor::new(eval);
-    Engine::new(workers).drive(explorer, stop, &mut exec)
+    let target = ResolvedTarget::resolve(&cell.target).expect("validated, artifact-checked target");
+    let mut explorer = strategy.build(target.space_arc(), cell.seed, seeds.store().clone());
+    let result = target.run(m, explorer.as_mut(), stop, spec.cell_workers.0, spec.timeout.0);
+    CellOutcome::from_session(cell.index, &result, &target.codec())
 }
 
 #[cfg(test)]
@@ -632,8 +643,11 @@ mod tests {
         for t in TARGETS {
             assert!(known_target(t), "{t}");
             assert!(target_space(t).is_some(), "{t}");
+            assert!(matches!(ResolvedTarget::resolve(t), Ok(ResolvedTarget::Simulated(_))));
         }
         assert!(!known_target("nosuch"));
+        let err = ResolvedTarget::resolve("nosuch").unwrap_err();
+        assert_eq!(err, "unknown target `nosuch`");
     }
 
     #[test]
@@ -686,6 +700,7 @@ mod tests {
             assert!(target_space(t).is_none(), "{t}");
             assert!(!is_proc_target(t), "{t}");
             assert!(vfs_target_space(t).is_some(), "{t}");
+            assert!(matches!(ResolvedTarget::resolve(t), Ok(ResolvedTarget::Recovery(_))));
             assert_eq!(default_metric(t), ImpactMetric::crash_hunter());
         }
         assert!(vfs_target_space("vfs:nosuch").is_none());

@@ -11,68 +11,39 @@
 //! the messages the CLI has always printed; nothing here prints or
 //! exits.
 
-use super::{
-    chain_seeds_cached, is_proc_target, known_target, proc_target_space, run_cell,
-    run_proc_windowed, run_vfs_windowed, run_windowed, target_space, vfs_target_space, TraceSeeds,
-};
-use crate::core::campaign::{
-    CampaignCell, CampaignReport, CampaignSnapshot, ExportRecord, TestTimeout,
-};
+use super::{pending_chains, run_cell, ResolvedTarget, TraceSeeds};
+use crate::core::campaign::{CampaignReport, CampaignSnapshot, ExportRecord, TestTimeout};
 use crate::core::{
     ExplorerConfig, ImpactMetric, SearchStrategy, SessionResult, StopCondition, TraceStore,
 };
-use afex_cluster::{CampaignScheduler, CellChain};
+use afex_cluster::CampaignScheduler;
 use std::collections::HashSet;
 use std::fmt;
-use std::io::Write as _;
+use std::io::{Read as _, Seek as _, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Runs every pending cell of `snap` on a `workers`-wide scheduler pool,
 /// recording each outcome into the snapshot as it completes. Pending
-/// cells are grouped into one [`CellChain`] per target — same-target
-/// cells run serialized in cell order, seeding each cell's redundancy
-/// feedback from its predecessors' deduped traces ([`chain_seeds_cached`]
-/// serves the cells already completed in the snapshot straight from the
-/// persisted trace index), while different
-/// targets fan out across the pool. The stop policy and metric come from
-/// the snapshot's own spec, so a resumed campaign scores and stops
-/// exactly like the original run. `on_cell` runs on the calling thread
+/// cells are grouped into one [`CellChain`](afex_cluster::CellChain) per
+/// target — same-target cells run serialized in cell order, seeding each
+/// cell's redundancy feedback from its predecessors' deduped traces
+/// ([`chain_seeds_cached`](super::chain_seeds_cached) serves the cells
+/// already completed in the snapshot straight from the persisted trace
+/// index), while different targets fan out across the pool. The stop
+/// policy and metric come from the snapshot's own spec, so a resumed
+/// campaign scores and stops exactly like the original run. `on_cell` runs on the calling thread
 /// after every recorded cell (wall-clock completion order) — the CLI
 /// checkpoints the snapshot file and the corpus export there.
 pub fn run_pending<G>(snap: &mut CampaignSnapshot, workers: usize, mut on_cell: G)
 where
     G: FnMut(&CampaignSnapshot),
 {
-    let spec = snap.spec.clone();
-    let pending = snap.pending();
-    if pending.is_empty() {
+    let chains = pending_chains(snap, |_| TraceSeeds::new());
+    if chains.is_empty() {
         return;
     }
-    // Converge the persisted trace index first (pure dedup on an intact
-    // snapshot, a one-time heal on pre-index ones), then serve every
-    // chain's seed store from it by clone — resume is O(load), never
-    // O(re-split).
-    snap.ensure_trace_index();
-    let chains: Vec<CellChain<TraceSeeds, CampaignCell>> = spec
-        .targets
-        .iter()
-        .filter_map(|target| {
-            let cells: Vec<CampaignCell> = pending
-                .iter()
-                .filter(|c| &c.target == target)
-                .cloned()
-                .collect();
-            if cells.is_empty() {
-                return None;
-            }
-            Some(CellChain {
-                state: chain_seeds_cached(snap, target),
-                cells,
-            })
-        })
-        .collect();
-    let scheduler = CampaignScheduler::new(workers);
-    scheduler.run_chains(
+    let spec = snap.spec.clone();
+    CampaignScheduler::new(workers).run_chains(
         chains,
         |cell, seeds: &TraceSeeds| (cell.index, run_cell(cell, &spec, seeds)),
         |seeds, _cell, (_, outcome)| seeds.absorb(outcome),
@@ -98,15 +69,7 @@ where
 /// turns it into a nonzero exit (a run whose checkpoint failed is not
 /// resumable, and exiting 0 would hide that).
 pub fn write_snapshot(snap: &CampaignSnapshot, path: &Path) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let body = snap.to_json() + "\n";
-    let result = std::fs::write(&tmp, body).and_then(|()| std::fs::rename(&tmp, path));
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
+    land_snapshot(snap, path, false)
 }
 
 /// Writes the snapshot atomically like [`write_snapshot`], additionally
@@ -127,17 +90,18 @@ pub fn write_snapshot(snap: &CampaignSnapshot, path: &Path) -> std::io::Result<(
 ///
 /// Returns the I/O error of the write or either rename.
 pub fn write_snapshot_with_backup(snap: &CampaignSnapshot, path: &Path) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let mut bak = path.as_os_str().to_owned();
-    bak.push(".bak");
-    let bak = PathBuf::from(bak);
-    let body = snap.to_json() + "\n";
-    let result = std::fs::write(&tmp, body)
+    land_snapshot(snap, path, true)
+}
+
+/// The shared body of the snapshot writers: write `<path>.tmp`, move an
+/// existing `path` to `<path>.bak` if `backup` is set, rename the temp
+/// file over `path`, and remove the temp file again if any step failed.
+fn land_snapshot(snap: &CampaignSnapshot, path: &Path, backup: bool) -> std::io::Result<()> {
+    let tmp = suffixed(path, ".tmp");
+    let result = std::fs::write(&tmp, snap.to_json() + "\n")
         .and_then(|()| {
-            if path.exists() {
-                std::fs::rename(path, &bak)
+            if backup && path.exists() {
+                std::fs::rename(path, suffixed(path, ".bak"))
             } else {
                 Ok(())
             }
@@ -147,6 +111,13 @@ pub fn write_snapshot_with_backup(snap: &CampaignSnapshot, path: &Path) -> std::
         let _ = std::fs::remove_file(&tmp);
     }
     result
+}
+
+/// `path` with `suffix` appended to its last component.
+fn suffixed(path: &Path, suffix: &str) -> PathBuf {
+    let mut s = path.as_os_str().to_owned();
+    s.push(suffix);
+    PathBuf::from(s)
 }
 
 /// Whether an I/O error is worth retrying: the transient errno classes
@@ -414,9 +385,7 @@ pub struct HuntSpec {
 /// condition at every head-of-line completion, so the pool halts at the
 /// Nth crash (plus the in-flight window draining) instead of running
 /// the iteration cap out. Deterministic for a fixed `workers` count.
-/// Dispatches on the target family: live binaries run through the
-/// sandboxed process executor, `vfs:*` targets through the
-/// crash-recovery oracle, simulated suites in-process.
+/// Every target family runs through [`ResolvedTarget::run`].
 ///
 /// # Errors
 ///
@@ -428,43 +397,26 @@ pub struct HuntSpec {
 ///
 /// Panics if `hunt.workers` is zero.
 pub fn run_hunt(hunt: &HuntSpec) -> Result<SessionResult, String> {
-    let name = hunt.target.as_str();
-    if !known_target(name) {
-        return Err(format!("unknown target `{name}`"));
-    }
+    // A missing victim or shim artifact is a usage error (how to build
+    // it is in the message), caught before anything spawns.
+    let target = ResolvedTarget::resolve(&hunt.target)?;
     let strategy = SearchStrategy::Fitness(ExplorerConfig {
         redundancy_feedback: hunt.feedback,
         ..ExplorerConfig::default()
     });
-    let m = hunt.metric.clone();
-    if is_proc_target(name) {
-        // A missing victim or shim artifact is a usage error (how to
-        // build it is in the message), caught before anything spawns.
-        let ps = proc_target_space(name)?;
-        let mut explorer = strategy.build(ps.space_arc(), hunt.seed, TraceStore::new());
-        return Ok(run_proc_windowed(
-            &ps,
-            m,
-            explorer.as_mut(),
-            hunt.stop,
-            hunt.workers,
-            hunt.timeout.0,
-        ));
-    }
-    if let Some(rs) = vfs_target_space(name) {
-        let mut explorer = strategy.build(rs.space_arc(), hunt.seed, TraceStore::new());
-        return Ok(run_vfs_windowed(&rs, m, explorer.as_mut(), hunt.stop, hunt.workers));
-    }
-    let ts = target_space(name).expect("known non-proc non-vfs targets are simulated");
-    let mut explorer = strategy.build(ts.space_arc(), hunt.seed, TraceStore::new());
-    Ok(run_windowed(&ts, m, explorer.as_mut(), hunt.stop, hunt.workers))
+    let mut explorer = strategy.build(target.space_arc(), hunt.seed, TraceStore::new());
+    Ok(target.run(
+        hunt.metric.clone(),
+        explorer.as_mut(),
+        hunt.stop,
+        hunt.workers,
+        hunt.timeout.0,
+    ))
 }
 
 /// The sidecar offset-index path for an export file: `<file>.idx`.
 fn export_idx_path(path: &Path) -> PathBuf {
-    let mut s = path.as_os_str().to_owned();
-    s.push(".idx");
-    PathBuf::from(s)
+    suffixed(path, ".idx")
 }
 
 /// One fixed-width sidecar index line: the record's byte offset in the
@@ -668,7 +620,7 @@ impl CorpusReader {
         let file_len = file.metadata()?.len();
         let offsets = match Self::sidecar_offsets(&export_idx_path(path), file_len) {
             Some(offsets) => offsets,
-            None => Self::scanned_offsets(path)?,
+            None => Self::scanned_offsets(&file, file_len)?,
         };
         let mut reader = CorpusReader {
             file,
@@ -715,17 +667,20 @@ impl CorpusReader {
         Some(offsets)
     }
 
-    /// Builds the offsets by scanning the record file once — the
-    /// legacy/no-sidecar path. Only complete (newline-terminated)
-    /// lines are indexed.
-    fn scanned_offsets(path: &Path) -> std::io::Result<Vec<u64>> {
-        let text = std::fs::read_to_string(path)?;
-        let complete = text.rfind('\n').map_or(0, |i| i + 1);
+    /// Builds the offsets by scanning the first `file_len` bytes of the
+    /// record file once — the legacy/no-sidecar path. Only complete
+    /// (newline-terminated) lines are indexed. The scan stops at the
+    /// length the reader measured, so bytes an exporter appends in the
+    /// meantime can never yield an offset past `file_len`.
+    fn scanned_offsets(mut file: &std::fs::File, file_len: u64) -> std::io::Result<Vec<u64>> {
+        let mut bytes = Vec::new();
+        file.seek(std::io::SeekFrom::Start(0))?;
+        file.take(file_len).read_to_end(&mut bytes)?;
         let mut offsets = Vec::new();
-        let mut offset = 0u64;
-        for line in text[..complete].lines() {
-            offsets.push(offset);
-            offset += line.len() as u64 + 1;
+        let mut start = 0u64;
+        for (i, _) in bytes.iter().enumerate().filter(|(_, &b)| b == b'\n') {
+            offsets.push(start);
+            start = i as u64 + 1;
         }
         Ok(offsets)
     }
@@ -744,9 +699,8 @@ impl CorpusReader {
     /// by `end`); `None` if the bytes do not parse as UTF-8 or the
     /// line never terminates (torn tail).
     fn read_line_at(&self, start: u64, end: u64) -> Option<String> {
-        use std::io::{Read, Seek, SeekFrom};
         let mut file = &self.file;
-        file.seek(SeekFrom::Start(start)).ok()?;
+        file.seek(std::io::SeekFrom::Start(start)).ok()?;
         let mut buf = vec![0u8; (end - start) as usize];
         file.read_exact(&mut buf).ok()?;
         let text = String::from_utf8(buf).ok()?;
@@ -826,18 +780,45 @@ mod tests {
 
     #[test]
     fn write_snapshot_cleans_its_tmp_on_failure() {
-        let dir = tmp_dir("tmpclean");
-        // Renaming onto an existing non-empty *directory* fails, so the
-        // write lands in the temp file and the rename errors out.
-        let blocked = dir.join("campaign.json");
-        std::fs::create_dir_all(blocked.join("occupied")).unwrap();
-        let snap = CampaignSnapshot::new(tiny_spec());
-        let err = write_snapshot(&snap, &blocked);
-        assert!(err.is_err(), "rename onto a non-empty dir must fail");
-        assert!(
-            !dir.join("campaign.json.tmp").exists(),
-            "failed write must not leave a stale .tmp behind"
-        );
+        type Writer = fn(&CampaignSnapshot, &Path) -> std::io::Result<()>;
+        let writers: [(&str, Writer); 2] = [
+            ("tmpclean", write_snapshot),
+            ("tmpclean-bak", write_snapshot_with_backup),
+        ];
+        for (tag, write) in writers {
+            let dir = tmp_dir(tag);
+            // Renaming onto an existing non-empty *directory* fails, so
+            // the write lands in the temp file and a rename errors out:
+            // the final rename for the plain writer, the backup rename
+            // (onto an occupied `.bak`) for the backup writer.
+            let blocked = dir.join("campaign.json");
+            std::fs::create_dir_all(blocked.join("occupied")).unwrap();
+            std::fs::create_dir_all(dir.join("campaign.json.bak/occupied")).unwrap();
+            let snap = CampaignSnapshot::new(tiny_spec());
+            let err = write(&snap, &blocked);
+            assert!(err.is_err(), "{tag}: rename onto a non-empty dir must fail");
+            assert!(
+                !dir.join("campaign.json.tmp").exists(),
+                "{tag}: failed write must not leave a stale .tmp behind"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn corpus_scan_stops_at_the_measured_length() {
+        // A reader measures the file, then an exporter appends before the
+        // sidecar-less scan runs: no offset may point past the measured
+        // length, or reading the last record would underflow.
+        let dir = tmp_dir("scanbound");
+        let path = dir.join("corpus.jsonl");
+        std::fs::write(&path, "aaaa\nbbbb\ncccc\n").unwrap();
+        let file = std::fs::File::open(&path).unwrap();
+        for (len, want) in [(10, vec![0, 5]), (12, vec![0, 5]), (15, vec![0, 5, 10]), (3, vec![])] {
+            let offsets = CorpusReader::scanned_offsets(&file, len).unwrap();
+            assert_eq!(offsets, want, "len={len}");
+            assert!(offsets.iter().all(|&o| o < len), "len={len}: {offsets:?}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

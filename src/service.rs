@@ -42,7 +42,7 @@
 //! daemon never died.
 
 use crate::campaign::{
-    build_spec, chain_seeds_cached_into, retry_io, run_cell, status_of, sweep_stale_tmp,
+    build_spec, pending_chains, retry_io, run_cell, status_of, sweep_stale_tmp,
     top_failures, write_snapshot, write_snapshot_with_backup, CampaignStatus, CorpusExporter,
     SpecOptions, SubmitError, TraceSeeds,
 };
@@ -636,28 +636,16 @@ impl CampaignService {
     fn enqueue(&self, job: &Arc<Mutex<Job>>, preseed: &PreseedFile) {
         let chains: Vec<CellChain<TraceSeeds, ServiceCell>> = {
             let mut j = job.lock().expect("job poisoned");
-            // Converge the snapshot's persisted trace index first: pure
-            // dedup hash-hits on an intact snapshot, a one-time heal on
-            // pre-index ones. Chains then seed from index stores —
-            // entry copies, never a re-split of the prefix corpus.
-            j.snap.ensure_trace_index();
             let spec = Arc::new(j.snap.spec.clone());
-            let pending = j.snap.pending();
-            spec.targets
-                .iter()
-                .filter_map(|target| {
-                    let cells: Vec<ServiceCell> = pending
-                        .iter()
-                        .filter(|c| &c.target == target)
-                        .map(|c| (Arc::clone(&spec), c.clone()))
-                        .collect();
-                    if cells.is_empty() {
-                        return None;
-                    }
-                    Some(CellChain {
-                        state: chain_seeds_cached_into(preseed.seeds_for(target), &j.snap, target),
-                        cells,
-                    })
+            pending_chains(&mut j.snap, |target| preseed.seeds_for(target))
+                .into_iter()
+                .map(|chain| CellChain {
+                    state: chain.state,
+                    cells: chain
+                        .cells
+                        .into_iter()
+                        .map(|c| (Arc::clone(&spec), c))
+                        .collect(),
                 })
                 .collect()
         };

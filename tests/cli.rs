@@ -253,7 +253,7 @@ fn campaign_stop_policy_export_and_resume() {
 
 #[test]
 fn campaign_rejects_zero_workers_with_exit_2() {
-    // `CampaignScheduler::new` asserts on 0 workers; the CLI must turn
+    // The campaign scheduler asserts on 0 workers; the CLI must turn
     // the bad flag into the usual exit-2 path instead of a panic.
     let out = scratch("campaign-zero-workers");
     let mut args = campaign_args(&out);

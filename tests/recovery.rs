@@ -3,7 +3,7 @@
 //! space, the retained whole-log-rewrite specimen does not, a hunt over
 //! the specimen finds the violation, and the replay log is byte-stable.
 
-use afex::campaign::{run_vfs_windowed, vfs_target_space};
+use afex::campaign::ResolvedTarget;
 use afex::core::{ExplorerConfig, ImpactMetric, SearchStrategy, StopCondition, TraceStore};
 use afex::inject::TestStatus;
 use afex::targets::recovery::{
@@ -66,38 +66,39 @@ fn hunt_finds_the_rewrite_violation() {
     // The acceptance path of `afex-cli hunt --target vfs:minidb-rewrite`:
     // a fitness-guided crash hunt over the recovery space stops at the
     // first durability violation well before the iteration cap.
-    let rs = vfs_target_space("vfs:minidb-rewrite").unwrap();
+    let rs = ResolvedTarget::resolve("vfs:minidb-rewrite").unwrap();
+    assert!(matches!(rs, ResolvedTarget::Recovery(_)));
     let strategy = SearchStrategy::Fitness(ExplorerConfig::default());
     let mut explorer = strategy.build(rs.space_arc(), 7, TraceStore::new());
     let stop = StopCondition::Crashes {
         count: 1,
-        max_iterations: rs.space().len() as usize,
+        max_iterations: rs.space_arc().len() as usize,
     };
-    let result = run_vfs_windowed(
-        &rs,
+    let result = rs.run(
         ImpactMetric::crash_hunter(),
         explorer.as_mut(),
         stop,
         2,
+        Default::default(),
     );
     assert!(result.crashes() >= 1, "hunt must find a recovery violation");
     assert!(
-        (result.len() as u64) < rs.space().len(),
+        (result.len() as u64) < rs.space_arc().len(),
         "the hunt should stop at the violation, not run the space out"
     );
     // And the fixed engine under the same hunt finds nothing.
-    let fixed = vfs_target_space("vfs:minidb-recovery").unwrap();
+    let fixed = ResolvedTarget::resolve("vfs:minidb-recovery").unwrap();
     let mut explorer = strategy.build(fixed.space_arc(), 7, TraceStore::new());
     let stop = StopCondition::Crashes {
         count: 1,
         max_iterations: 400,
     };
-    let result = run_vfs_windowed(
-        &fixed,
+    let result = fixed.run(
         ImpactMetric::crash_hunter(),
         explorer.as_mut(),
         stop,
         2,
+        Default::default(),
     );
     assert_eq!(result.crashes(), 0, "the fixed engine must survive the hunt");
 }
